@@ -9,9 +9,10 @@ from magiclab import (cw_coherence, dm_from_pure, estimate_cm,
                       incoherent_clifford_unitaries, is_genuinely_stabilizer,
                       l1_coherence, lp_coherence, partial_trace, random_mixed,
                       sample_channel, sample_incoherent_channel,
-                      stabilizer_pure_states, strange_state, tensor)
+                      stabilizer_pure_states, strange_state, tensor, wigner)
 from magiclab.channels import classify, dephasing_channel, identity_channel, unitary_channel
 from magiclab.monotones import distance_coherence, distance_magic
+from magiclab.phasespace import striation_marginals
 from magiclab.stabilizer import clifford_generators
 
 rng = np.random.default_rng(5)
@@ -52,12 +53,19 @@ print("  (the mixed ancilla scales C_l2 down by (sum q^2)^(1/2); tracing restore
 print("   the protocol END-TO-END is still monotone, which is what the lp audit checks)")
 
 print("\ninstructive failure 2: the line-sum functional C_w is not a monotone at all")
+print("  C_w = min over lambda >= 0 of (|1 - lambda| + sum_l |m_l - lambda/3|)/4 over the")
+print("  9 non-vertical line sums m_l; the vertical sums are diag(rho), fixed by phases")
 rho = random_mixed(3, seed=12)
 vals = []
 for phi in np.linspace(0.0, 2 * np.pi, 13):
     u = np.diag([1.0, np.exp(1j * phi), 1.0])
-    vals.append(cw_coherence(u @ rho @ u.conj().T))
+    rotated = u @ rho @ u.conj().T
+    vals.append(cw_coherence(rotated))
+    sums = striation_marginals(wigner(rotated))
+    print(f"  phi={phi:.3f}  vertical={np.array2string(sums[0], precision=3)}  "
+          f"non-vertical={np.array2string(sums[1:].ravel(), precision=3)}  C_w={vals[-1]:.6f}")
 print(f"  C_w along a diagonal-phase orbit: min={min(vals):.6f} max={max(vals):.6f}")
 print(f"  l1 along the same orbit is constant: {l1_coherence(rho):.6f}")
 print("  (phase rotations are reversible incoherent operations, so a true")
-print("   coherence monotone could not vary along this orbit)")
+print("   coherence monotone could not vary along this orbit; only the")
+print("   non-vertical line sums move, and C_w moves with them)")

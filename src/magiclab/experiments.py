@@ -18,7 +18,8 @@ import numpy as np
 
 from . import channels
 from .linalg import (dm_from_pure, maximally_coherent_state, maximally_mixed,
-                     norrell_state, strange_state)
+                     norrell_state, partial_trace, partial_transpose, strange_state)
+from .monotones import l1_coherence_batch, sum_negativity_grid
 from .phasespace import wigner_batch
 
 STREAM_OFFSETS = {
@@ -180,7 +181,7 @@ def noise_sweep(cfg):
         "strange_coherent": (psi_s, coh), "norrell_coherent": (psi_n, coh),
     }.items():
         rhos = (1 - p)[:, None, None] * state + p[:, None, None] * noise
-        curves[name] = np.abs(wigner_batch(rhos, 3)).sum(axis=(1, 2)) - 1.0
+        curves[name] = sum_negativity_grid(wigner_batch(rhos, 3))
 
     refs = _sweep_references(p)
     measured = [curves["strange_white"], curves["norrell_white"],
@@ -210,11 +211,6 @@ COH_HEADER = ("kind", "c_l1", "m_sn", "bound", "slack")
 ENT_HEADER = ("kind", "negativity", "m_sn_reduced", "lhs")
 
 
-def _l1_batch(rhos):
-    absr = np.abs(rhos)
-    return absr.sum(axis=(1, 2)) - np.einsum("nii->n", absr)
-
-
 @dataclass(frozen=True)
 class CoherenceScatterData:
     rows: list
@@ -241,8 +237,8 @@ def coherence_magic_scatter(cfg):
     rows = []
     slacks = {}
     for kind, batch in (("pure", pure), ("mixed", mixed)):
-        msn = np.abs(wigner_batch(batch, 3)).sum(axis=(1, 2)) - 1.0
-        c1 = _l1_batch(batch)
+        msn = sum_negativity_grid(wigner_batch(batch, 3))
+        c1 = l1_coherence_batch(batch)
         bound = (c1 / 2) * np.sqrt(np.clip(1.0 - c1 / 2, 0.0, None))
         slack = msn - bound
         slacks[kind] = float(np.min(slack))
@@ -276,10 +272,9 @@ def entanglement_magic_scatter(cfg):
     rows = []
     maxes = {}
     for kind, batch in batches:
-        pt = batch.reshape(-1, 3, 2, 3, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 6, 6)
+        pt = partial_transpose(batch, (3, 2), 1)
         neg = (np.abs(np.linalg.eigvalsh(pt)).sum(axis=1) - 1.0) / 2.0
-        reduced = np.einsum("nibjb->nij", batch.reshape(-1, 3, 2, 3, 2))
-        msn = np.abs(wigner_batch(reduced, 3)).sum(axis=(1, 2)) - 1.0
+        msn = sum_negativity_grid(wigner_batch(partial_trace(batch, (3, 2), 0), 3))
         lhs = 16.0 * neg ** 2 + 9.0 * msn ** 2
         maxes[kind] = float(np.max(lhs))
         rows.extend(zip([kind] * len(batch), neg, msn, lhs))

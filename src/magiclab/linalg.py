@@ -30,6 +30,8 @@ def rng_from(seed):
 def validate_pure_state(psi, atol=NORM_ATOL):
     """Check normalization of a state vector; return it as a complex array."""
     psi = np.asarray(psi, dtype=complex)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("state vector has non-finite entries")
     if psi.ndim != 1 or psi.size < 2:
         raise ValueError(f"pure state must be a vector of length >= 2, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
@@ -41,9 +43,12 @@ def validate_pure_state(psi, atol=NORM_ATOL):
 def validate_density_matrix(rho, herm_atol=HERM_ATOL, trace_atol=TRACE_ATOL, psd_atol=PSD_ATOL):
     """Check Hermiticity, unit trace and positivity; return a complex array.
 
-    Raises ValueError on the first violated invariant.
+    Raises ValueError on the first violated invariant; non-finite entries
+    are rejected first, since NaN fails no comparison below.
     """
     rho = np.asarray(rho, dtype=complex)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm_err = np.max(np.abs(rho - rho.conj().T))
@@ -155,32 +160,35 @@ def _check_dims(rho, dims):
     dims = tuple(int(x) for x in dims)
     if len(dims) < 2:
         raise ValueError("dims must list at least two subsystem dimensions")
-    if int(np.prod(dims)) != rho.shape[0] or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or int(np.prod(dims)) != rho.shape[-1]:
         raise ValueError(f"dims {dims} do not match matrix shape {rho.shape}")
     return rho, dims
 
 
 def partial_trace(rho, dims, keep):
-    """Reduced state on subsystem `keep` of a state with factor dimensions `dims`."""
+    """Reduced state on subsystem `keep` of a state with factor dimensions `dims`;
+    leading axes of `rho` are batch axes."""
     rho, dims = _check_dims(rho, dims)
     n = len(dims)
     if not 0 <= keep < n:
         raise ValueError(f"keep index {keep} out of range for {n} subsystems")
-    t = rho.reshape(dims + dims)
-    # trace out everything but `keep`, from the back to keep axis numbers stable
-    for idx in reversed([i for i in range(n) if i != keep]):
-        t = np.trace(t, axis1=idx, axis2=idx + t.ndim // 2)
-    return t
+    t = rho.reshape(rho.shape[:-2] + dims + dims)
+    # row and column share a label on every subsystem but `keep`, so einsum traces them out
+    col = list(range(n))
+    col[keep] = n
+    return np.einsum(t, [..., *range(n), *col], [..., keep, n])
 
 
 def partial_transpose(rho, dims, on):
-    """Transpose one tensor factor; Hermitian, trace 1, not necessarily PSD."""
+    """Transpose one tensor factor; Hermitian, trace 1, not necessarily PSD;
+    leading axes of `rho` are batch axes."""
     rho, dims = _check_dims(rho, dims)
     n = len(dims)
     if not 0 <= on < n:
         raise ValueError(f"subsystem index {on} out of range for {n} subsystems")
-    t = rho.reshape(dims + dims)
-    t = np.swapaxes(t, on, on + n)
+    b = rho.ndim - 2
+    t = rho.reshape(rho.shape[:b] + dims + dims)
+    t = np.swapaxes(t, b + on, b + on + n)
     return t.reshape(rho.shape)
 
 

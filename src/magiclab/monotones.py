@@ -1,10 +1,12 @@
-"""Scalar resource quantifiers: magic, coherence and entanglement monotones.
+"""Resource quantifiers: magic, coherence and entanglement monotones.
 
 Magic is measured on the discrete Wigner grid (sum negativity and mana),
 coherence by l_p norms of the off-diagonal part, by minimum trace distance
-to the incoherent states, and by the line-sum monotone
-:func:`cw_coherence` built from striation marginals. Entanglement is the
-negativity of the partial transpose.
+to the incoherent states, and by the line-sum functional
+:func:`cw_coherence`, computed exactly from the non-vertical striation
+marginals by a one-variable closed form. Entanglement is the negativity of
+the partial transpose. Sum negativity and l1 coherence have batch kernels
+over (..., d, d) stacks, shared by the scalar forms and the experiments.
 """
 
 from dataclasses import dataclass, field
@@ -13,14 +15,12 @@ import numpy as np
 
 from . import stabilizer
 from .linalg import partial_transpose, trace_norm, validate_density_matrix
-from .phasespace import striation_marginals, wigner
-
-CW_LAMBDA_MAX = 3.0
+from .phasespace import _is_prime, striation_marginals, wigner
 
 
 @dataclass(frozen=True)
 class MonotoneReport:
-    """A named monotone value with optional optimizer diagnostics."""
+    """A named monotone value with optional metadata (C_w's minimizing lambda)."""
     name: str
     value: float
     metadata: dict = field(default_factory=dict)
@@ -28,8 +28,7 @@ class MonotoneReport:
 
 def sum_negativity(rho):
     """sum_u |W_u| - 1 of the discrete Wigner grid; zero iff the grid is nonnegative."""
-    w = wigner(rho)
-    return float(np.abs(w).sum() - 1.0)
+    return float(sum_negativity_grid(wigner(rho)))
 
 
 def sum_negativity_grid(w):
@@ -48,8 +47,13 @@ def mana(rho, base=None):
 
 def l1_coherence(rho):
     """Sum of absolute off-diagonal entries; zero iff diagonal."""
-    rho = validate_density_matrix(rho)
-    return float(np.abs(rho).sum() - np.abs(np.diag(rho)).sum())
+    return float(l1_coherence_batch(validate_density_matrix(rho)))
+
+
+def l1_coherence_batch(rhos):
+    """l1 coherence of a matrix (d, d) or a stack (..., d, d), without validation."""
+    absr = np.abs(rhos)
+    return absr.sum(axis=(-2, -1)) - np.einsum("...ii->...", absr)
 
 
 def lp_coherence(rho, p):
@@ -88,153 +92,36 @@ def negativity(rho, dims, on=1):
 
 @dataclass(frozen=True)
 class CwResult:
-    """Outcome of the C_w minimization over (diagonal state, scale lambda)."""
+    """The C_w minimum with its minimizing diagonal state and scale lambda."""
     value: float
     sigma: np.ndarray
     lam: float
-    iterations: int
-    converged: bool
 
 
-def _k_vector(grid, striation_indices=None):
-    """Concatenated striation marginals of a Wigner grid, scaled to sum to 1."""
-    marg = striation_marginals(grid)
-    if striation_indices is not None:
-        marg = marg[list(striation_indices)]
-    return marg.reshape(-1) / marg.shape[0]
-
-
-def _k_basis_matrix(d, striation_indices=None):
-    """Linear map sigma -> K_sigma: columns are K vectors of basis projectors."""
-    cols = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        cols.append(_k_vector(wigner(e), striation_indices))
-    return np.array(cols).T
-
-
-def _project_simplex(v):
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    tau = css[cond][-1] / idx[cond][-1]
-    return np.maximum(v - tau, 0.0)
-
-
-def _golden_min(fun, lo, hi, iters=80):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d_)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d_, fd = d_, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = fun(d_)
-    x = (a + b) / 2.0
-    return x, fun(x)
-
-
-def cw_coherence(rho, striation_indices=None, tol=1e-7, max_iter=2000, full=False):
+def cw_coherence(rho, full=False):
     """Coherence from Wigner line sums: min over diagonal sigma and lambda >= 0 of
-    ||K_rho - lambda K_sigma||_1, with K the concatenated striation marginals.
+    ||K_rho - lambda K_sigma||_1, with K the striation marginals over d+1.
 
-    Alternating minimization: golden-section search for lambda on
-    [0, CW_LAMBDA_MAX] at fixed sigma, projected subgradient on the simplex
-    for sigma at fixed lambda. Returns the value, or a :class:`CwResult`
-    when ``full=True`` (``converged`` False if the iteration cap is hit or
-    the optimal lambda lands on the search cap).
+    A diagonal sigma has marginals 1/d on every non-vertical line, and its
+    vertical term sum_c |rho_cc - lambda sigma_c| >= |1 - lambda| is tight at
+    sigma = diag(rho). So over the d^2 non-vertical line sums m_l,
+
+        C_w = min_{lambda >= 0} (|1 - lambda| + sum_l |m_l - lambda/d|) / (d+1),
+
+    convex and piecewise linear in lambda, hence minimal at a breakpoint
+    lambda = 1 or d m_l. Returns the value, or a :class:`CwResult` if ``full``.
     """
     rho = validate_density_matrix(rho)
     d = rho.shape[0]
-    k_rho = _k_vector(wigner(rho), striation_indices)
-    k_map = _k_basis_matrix(d, striation_indices)
-
-    def objective(sigma, lam):
-        return float(np.abs(k_rho - lam * (k_map @ sigma)).sum())
-
-    # The only sigma-dependent block of K is the vertical striation (the
-    # marginals of a diagonal state are uniform in every other direction),
-    # and that block is minimized by sigma = diag(rho). Start there.
-    sigma = np.abs(np.diag(rho).real)
-    sigma = sigma / sigma.sum()
-    lam = 1.0
-    value = objective(sigma, lam)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        lam, _ = _golden_min(lambda x: objective(sigma, x), 0.0, CW_LAMBDA_MAX)
-        # projected subgradient descent in sigma at fixed lambda
-        step0 = 0.5
-        for k in range(1, 61):
-            resid = k_rho - lam * (k_map @ sigma)
-            sub = -lam * (k_map.T @ np.sign(resid))
-            sigma_try = _project_simplex(sigma - step0 / np.sqrt(k) * sub)
-            if objective(sigma_try, lam) <= objective(sigma, lam):
-                sigma = sigma_try
-        new_value = objective(sigma, lam)
-        if abs(value - new_value) < tol:
-            value = min(value, new_value)
-            converged = True
-            break
-        value = min(value, new_value)
-    if lam >= CW_LAMBDA_MAX - 1e-9:
-        converged = False  # optimum must be interior to the lambda cap
+    m = striation_marginals(wigner(rho))[1:].reshape(-1)
+    # a line sum rounded below 0 puts its breakpoint at the boundary lambda = 0
+    lam = np.maximum(np.append(1.0, d * m), 0.0)
+    vals = (np.abs(1.0 - lam) + np.abs(m - lam[:, None] / d).sum(axis=1)) / (d + 1)
+    best = int(np.argmin(vals))
     if full:
-        return CwResult(value=value, sigma=sigma, lam=float(lam),
-                        iterations=it, converged=converged)
-    return value
-
-
-def cw_grid_oracle(rho, striation_indices=None, coarse=0.01, lam_step=0.01, refine_rounds=4):
-    """Dense-grid reference for :func:`cw_coherence` (qutrit only).
-
-    Scans a (sigma_1, sigma_2, lambda) grid, then refines locally around the
-    best point; the objective is convex in lambda*sigma, so the coarse basin
-    is the right one and refinement is a pure resolution matter. Independent
-    of the alternating optimizer; slow but simple.
-    """
-    rho = validate_density_matrix(rho)
-    d = rho.shape[0]
-    if d != 3:
-        raise ValueError("the grid oracle is written for qutrits")
-    k_rho = _k_vector(wigner(rho), striation_indices)
-    k_map = _k_basis_matrix(d, striation_indices)
-
-    def scan(s1_vals, s2_vals, lam_vals):
-        s1g, s2g = np.meshgrid(s1_vals, s2_vals, indexing="ij")
-        keep = s1g + s2g <= 1.0 + 1e-12
-        s1f, s2f = s1g[keep], s2g[keep]
-        sig = np.stack([s1f, s2f, 1.0 - s1f - s2f], axis=0)  # (3, ns)
-        ks = k_map @ sig  # (12, ns)
-        best = (np.inf, None)
-        for lam in lam_vals:
-            vals = np.abs(k_rho[:, None] - lam * ks).sum(axis=0)
-            i = int(np.argmin(vals))
-            if vals[i] < best[0]:
-                best = (float(vals[i]), (float(s1f[i]), float(s2f[i]), float(lam)))
-        return best
-
-    val, (s1, s2, lam) = scan(np.arange(0, 1 + coarse, coarse),
-                              np.arange(0, 1 + coarse, coarse),
-                              np.arange(0, CW_LAMBDA_MAX + lam_step, lam_step))
-    width_s, width_l = 2 * coarse, 2 * lam_step
-    for _ in range(refine_rounds):
-        s1_vals = np.linspace(max(0, s1 - width_s), min(1, s1 + width_s), 81)
-        s2_vals = np.linspace(max(0, s2 - width_s), min(1, s2 + width_s), 81)
-        lam_vals = np.linspace(max(0, lam - width_l), min(CW_LAMBDA_MAX, lam + width_l), 81)
-        val, (s1, s2, lam) = scan(s1_vals, s2_vals, lam_vals)
-        width_s /= 20.0
-        width_l /= 20.0
-    return val
+        return CwResult(value=float(vals[best]), sigma=rho.diagonal().real.copy(),
+                        lam=float(lam[best]))
+    return float(vals[best])
 
 
 def all_monotones(rho, dims=None):
@@ -246,7 +133,7 @@ def all_monotones(rho, dims=None):
     rho = validate_density_matrix(rho)
     d = rho.shape[0]
     out = []
-    wigner_ok = d % 2 == 1 and all(d % k for k in range(2, d))
+    wigner_ok = d % 2 == 1 and _is_prime(d)
     if wigner_ok:
         out.append(MonotoneReport("sum_negativity", sum_negativity(rho)))
         out.append(MonotoneReport("mana", mana(rho)))
@@ -254,9 +141,7 @@ def all_monotones(rho, dims=None):
     out.append(MonotoneReport("l2_coherence", lp_coherence(rho, 2)))
     if wigner_ok:
         res = cw_coherence(rho, full=True)
-        out.append(MonotoneReport("cw_coherence", res.value,
-                                  {"lambda": res.lam, "iterations": res.iterations,
-                                   "converged": res.converged}))
+        out.append(MonotoneReport("cw_coherence", res.value, {"lambda": res.lam}))
     if d == 3:
         out.append(MonotoneReport("distance_magic", distance_magic(rho)))
         out.append(MonotoneReport("distance_coherence", distance_coherence(rho)))

@@ -15,6 +15,7 @@ the Wigner grid are measurement probabilities and therefore nonnegative.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,12 +91,10 @@ def phase_point_ops(d):
 
 
 def wigner(rho):
-    """Discrete Wigner grid W[p, q] = tr(rho A(p,q)) / d; sums to 1."""
+    """Discrete Wigner grid W[p, q] = tr(rho A(p,q)) / d; sums to 1.
+    The validated one-state form of :func:`wigner_batch`."""
     rho = validate_density_matrix(rho)
-    d = rho.shape[0]
-    _require_odd_prime(d)
-    ops = phase_point_ops(d)
-    return np.einsum("ij,pqji->pq", rho, ops).real / d
+    return wigner_batch(rho[None], rho.shape[0])[0]
 
 
 def wigner_batch(rhos, d):
@@ -171,17 +170,28 @@ def striations(d):
     return out
 
 
-def line_sums(w, striation):
-    """Sum the Wigner grid along each line of one striation; length-d vector."""
+def _gather_lines(w, points):
+    """Sum a grid stack (..., d, d) along lines given as (..., d, 2) index points."""
     w = np.asarray(w, dtype=float)
-    d = w.shape[0]
-    if w.shape != (d, d) or striation.dim != d:
-        raise ValueError(f"grid shape {w.shape} does not match striation of {striation.dim} lines")
-    return np.array([sum(w[p, q] for p, q in line) for line in striation.lines])
+    d = points.shape[-2]
+    if w.shape[-2:] != (d, d):
+        raise ValueError(f"grid shape {w.shape} does not match striation of {d} lines")
+    return w[..., points[..., 0], points[..., 1]].sum(axis=-1)
+
+
+def line_sums(w, striation):
+    """Sum a Wigner grid (d, d), or a stack (..., d, d), along each line of
+    one striation; returns (..., d)."""
+    return _gather_lines(w, np.array(striation.lines))
+
+
+@lru_cache(maxsize=None)
+def _striation_points(d):
+    """(d+1, d, d, 2) index points of every line, in the fixed striation order."""
+    return np.array([s.lines for s in striations(d)])
 
 
 def striation_marginals(w):
-    """All line sums, as a (d+1, d) array in the fixed striation order."""
-    w = np.asarray(w, dtype=float)
-    d = w.shape[0]
-    return np.array([line_sums(w, s) for s in striations(d)])
+    """All line sums of a grid (d, d) or a stack (..., d, d), as (..., d+1, d)
+    in the fixed striation order."""
+    return _gather_lines(w, _striation_points(np.shape(w)[-1]))

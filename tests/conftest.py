@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magiclab import linalg, stabilizer
+from magiclab import linalg, phasespace, stabilizer
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +67,75 @@ def slsqp_polytope_oracle(rho, vertices, starts=12, seed=11):
                        options={"maxiter": 400, "ftol": 1e-14})
         best = min(best, f(project_simplex(res.x)))
     return best
+
+
+def _cw_k_vector(rho):
+    """Concatenated striation marginals of rho's Wigner grid, scaled to sum to 1."""
+    marg = phasespace.striation_marginals(phasespace.wigner(rho))
+    return marg.reshape(-1) / marg.shape[0]
+
+
+def _cw_k_map(d):
+    """Linear map sigma -> K_sigma: columns are K vectors of the basis projectors."""
+    return np.array([_cw_k_vector(np.diag(e).astype(complex)) for e in np.eye(d)]).T
+
+
+def cw_grid_oracle(rho, coarse=0.01, lam_step=0.01, refine_rounds=4, lam_max=3.0):
+    """Dense-grid reference for C_w = min ||K_rho - lambda K_sigma||_1 (qutrit only).
+
+    Scans a (sigma_1, sigma_2, lambda) grid, then refines locally around the
+    best point; the objective is convex in lambda*sigma, so the coarse basin
+    is the right one and refinement is a pure resolution matter. Independent
+    of the closed form; slow but simple.
+    """
+    rho = linalg.validate_density_matrix(rho)
+    if rho.shape[0] != 3:
+        raise ValueError("the grid oracle is written for qutrits")
+    k_rho = _cw_k_vector(rho)
+    k_map = _cw_k_map(3)
+
+    def scan(s1_vals, s2_vals, lam_vals):
+        s1g, s2g = np.meshgrid(s1_vals, s2_vals, indexing="ij")
+        keep = s1g + s2g <= 1.0 + 1e-12
+        s1f, s2f = s1g[keep], s2g[keep]
+        sig = np.stack([s1f, s2f, 1.0 - s1f - s2f], axis=0)  # (3, ns)
+        ks = k_map @ sig  # (12, ns)
+        best = (np.inf, None)
+        for lam in lam_vals:
+            vals = np.abs(k_rho[:, None] - lam * ks).sum(axis=0)
+            i = int(np.argmin(vals))
+            if vals[i] < best[0]:
+                best = (float(vals[i]), (float(s1f[i]), float(s2f[i]), float(lam)))
+        return best
+
+    val, (s1, s2, lam) = scan(np.arange(0, 1 + coarse, coarse),
+                              np.arange(0, 1 + coarse, coarse),
+                              np.arange(0, lam_max + lam_step, lam_step))
+    width_s, width_l = 2 * coarse, 2 * lam_step
+    for _ in range(refine_rounds):
+        s1_vals = np.linspace(max(0, s1 - width_s), min(1, s1 + width_s), 81)
+        s2_vals = np.linspace(max(0, s2 - width_s), min(1, s2 + width_s), 81)
+        lam_vals = np.linspace(max(0, lam - width_l), min(lam_max, lam + width_l), 81)
+        val, (s1, s2, lam) = scan(s1_vals, s2_vals, lam_vals)
+        width_s /= 20.0
+        width_l /= 20.0
+    return val
+
+
+def cw_lp_oracle(rho):
+    """Exact C_w by linear programming: with x = lambda sigma >= 0 the problem
+    is the L1 regression min ||K_rho - K x||_1, solved by HiGHS with slack
+    variables t >= |K_rho - K x|."""
+    from scipy.optimize import linprog
+
+    k_rho = _cw_k_vector(rho)
+    k_map = _cw_k_map(rho.shape[0])
+    n, d = k_map.shape
+    eye = np.eye(n)
+    res = linprog(np.concatenate([np.zeros(d), np.ones(n)]),
+                  A_ub=np.block([[k_map, -eye], [-k_map, -eye]]),
+                  b_ub=np.concatenate([k_rho, -k_rho]),
+                  bounds=[(0, None)] * (d + n), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"linprog failed: {res.message}")
+    return res.fun

@@ -12,7 +12,7 @@ import numpy as np
 
 from magiclab import channels as ch, experiments as ex, linalg, monotones as mo
 from magiclab import phasespace as ps
-from conftest import random_qutrit_batch
+from conftest import cw_grid_oracle, random_qutrit_batch
 
 
 def report(number, name, ok, detail):
@@ -135,7 +135,7 @@ def test_acceptance_8b_cw_contractivity():
 
 def test_acceptance_8c_cw_optimizer_vs_oracle():
     rhos = random_qutrit_batch(20, seed=1009)
-    worst = max(abs(mo.cw_coherence(rho) - mo.cw_grid_oracle(rho)) for rho in rhos)
+    worst = max(abs(mo.cw_coherence(rho) - cw_grid_oracle(rho)) for rho in rhos)
     assert report("8c", "C_w optimizer matches dense-grid oracle", worst < 1e-4,
                   f"max |optimizer - oracle| over 20 states={worst:.3e}")
 

@@ -103,6 +103,16 @@ def test_usage_error_exit_code():
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["wigner", "monotones"])
+def test_non_finite_state_file_is_an_error(tmp_path, command):
+    path = tmp_path / "nan.txt"
+    path.write_text("dim=3\n0.5+0i,nan+0i,0+0i\nnan+0i,0.5+0i,0+0i\n0+0i,0+0i,0+0i\n")
+    res = run_cli(command, "--state", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "non-finite" in res.stderr
+    assert res.stdout == ""
+
+
 def test_run_all_two_processes_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("samples=500\nresult1_trials=60\nlp_trials=20\n"

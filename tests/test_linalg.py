@@ -29,6 +29,19 @@ def test_dm_from_pure_rejects_unnormalized():
         linalg.dm_from_pure(np.array([0, 1, -1], dtype=complex))
 
 
+def test_validators_reject_non_finite():
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        rho = linalg.maximally_mixed(3)
+        rho[0, 1] = rho[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.validate_density_matrix(rho)
+        assert not linalg.is_density_matrix(rho)
+        psi = linalg.strange_state()
+        psi[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.validate_pure_state(psi)
+
+
 def test_random_pure_deterministic():
     a = linalg.random_pure(3, seed=123)
     b = linalg.random_pure(3, seed=123)
@@ -132,6 +145,21 @@ def test_partial_trace_rejects_bad_dims():
         linalg.partial_trace(bell_3x2(), (4, 2), 0)
     with pytest.raises(ValueError):
         linalg.partial_trace(bell_3x2(), (3, 2), 5)
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3, 2)])
+def test_partial_ops_accept_batch_axes(dims):
+    rng = np.random.default_rng(5)
+    big = int(np.prod(dims))
+    stack = np.stack([linalg.random_mixed(big, seed=rng) for _ in range(6)]).reshape(2, 3, big, big)
+    for k in range(len(dims)):
+        traced = linalg.partial_trace(stack, dims, k)
+        flipped = linalg.partial_transpose(stack, dims, k)
+        assert traced.shape == (2, 3, dims[k], dims[k])
+        assert flipped.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(traced[idx], linalg.partial_trace(stack[idx], dims, k))
+            assert np.array_equal(flipped[idx], linalg.partial_transpose(stack[idx], dims, k))
 
 
 def test_partial_transpose_product_psd():

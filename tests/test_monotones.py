@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from magiclab import channels, linalg, monotones as mo, stabilizer as st
-from conftest import random_qutrit_batch
+from magiclab import channels, linalg, monotones as mo, phasespace as ps, stabilizer as st
+from conftest import cw_grid_oracle, cw_lp_oracle, random_qutrit_batch
 
 
 def test_sum_negativity_named(named_states):
@@ -103,28 +103,34 @@ def test_cw_coherent_pinned(named_states):
     # state (piecewise-linear minimum at lambda = 1), and matched by the grid
     val = mo.cw_coherence(named_states["coherent"])
     assert abs(val - 5 / 9) < 1e-9
-    assert abs(mo.cw_grid_oracle(named_states["coherent"]) - 5 / 9) < 1e-5
-
-
-def test_cw_vertical_only_degenerate():
-    rng = np.random.default_rng(47)
-    for _ in range(20):
-        rho = linalg.random_mixed(3, seed=rng)
-        assert mo.cw_coherence(rho, striation_indices=[0]) < 1e-12
+    assert abs(cw_grid_oracle(named_states["coherent"]) - 5 / 9) < 1e-5
 
 
 def test_cw_optimizer_matches_grid_oracle():
     rhos = random_qutrit_batch(20, seed=48)
     for rho in rhos:
         opt = mo.cw_coherence(rho)
-        assert abs(opt - mo.cw_grid_oracle(rho)) < 1e-4
+        assert abs(opt - cw_grid_oracle(rho)) < 1e-4
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_cw_closed_form_matches_lp_oracle(d):
+    rng = np.random.default_rng(54 + d)
+    for i in range(20):
+        if i % 2:
+            rho = linalg.random_mixed(d, seed=rng)
+        else:
+            rho = linalg.dm_from_pure(linalg.random_pure(d, rng))
+        assert abs(mo.cw_coherence(rho) - cw_lp_oracle(rho)) <= 1e-12
 
 
 def test_cw_full_result_fields(named_states):
-    res = mo.cw_coherence(named_states["coherent"], full=True)
-    assert res.converged
-    assert 0 < res.lam < mo.CW_LAMBDA_MAX - 1e-9
-    assert res.sigma.min() >= -1e-12 and abs(res.sigma.sum() - 1) < 1e-10
+    rho = named_states["coherent"]
+    res = mo.cw_coherence(rho, full=True)
+    assert res.value == mo.cw_coherence(rho)
+    assert np.array_equal(res.sigma, np.diag(rho).real)
+    breakpoints = np.append(1.0, 3 * ps.striation_marginals(ps.wigner(rho))[1:].ravel())
+    assert res.lam > 0 and np.min(np.abs(breakpoints - res.lam)) < 1e-12
 
 
 def test_distance_monotones_trivial_cases(qutrit_vertices):
@@ -181,6 +187,7 @@ def test_all_monotones_order_and_applicability(named_states):
     names = [r.name for r in reports]
     assert names == ["sum_negativity", "mana", "l1_coherence", "l2_coherence",
                      "cw_coherence", "distance_magic", "distance_coherence"]
+    assert set(reports[4].metadata) == {"lambda"}
     assert all(r.value >= -1e-10 for r in reports)
     qubit = mo.all_monotones(linalg.maximally_mixed(2))
     assert [r.name for r in qubit] == ["l1_coherence", "l2_coherence"]

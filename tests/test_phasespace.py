@@ -106,23 +106,47 @@ def test_wigner_normalization_and_marginals():
 def test_line_sums_vertical_is_diagonal():
     rng = np.random.default_rng(22)
     vertical = ps.striations(3)[0]
-    for _ in range(20):
-        rho = linalg.random_mixed(3, seed=rng)
+    rhos = np.stack([linalg.random_mixed(3, seed=rng) for _ in range(20)])
+    for rho in rhos:
         sums = ps.line_sums(ps.wigner(rho), vertical)
         assert np.allclose(sums, np.diag(rho).real, atol=1e-12)
+    stacked = ps.line_sums(ps.wigner_batch(rhos, 3).reshape(4, 5, 3, 3), vertical)
+    assert stacked.shape == (4, 5, 3)
+    assert np.allclose(stacked.reshape(20, 3), np.diagonal(rhos, axis1=1, axis2=2).real,
+                       atol=1e-12)
 
 
 def test_line_sums_named_states(named_states):
     vertical = ps.striations(3)[0]
+    grids = np.stack([ps.wigner(named_states["mixed"]), ps.wigner(named_states["strange"])])
     for s in ps.striations(3):
-        assert np.allclose(ps.line_sums(ps.wigner(named_states["mixed"]), s), 1 / 3, atol=1e-12)
-    sums = ps.line_sums(ps.wigner(named_states["strange"]), vertical)
+        assert np.allclose(ps.line_sums(grids[0], s), 1 / 3, atol=1e-12)
+        assert np.allclose(ps.line_sums(grids, s)[0], 1 / 3, atol=1e-12)
+    sums = ps.line_sums(grids[1], vertical)
     assert np.allclose(sums, [0.0, 0.5, 0.5], atol=1e-12)
+    assert np.allclose(ps.line_sums(grids, vertical)[1], [0.0, 0.5, 0.5], atol=1e-12)
 
 
 def test_line_sums_rejects_mismatched_striation():
     with pytest.raises(ValueError):
         ps.line_sums(np.full((3, 3), 1 / 9), ps.striations(5)[0])
+    with pytest.raises(ValueError):
+        ps.line_sums(np.full((2, 3, 3), 1 / 9), ps.striations(5)[0])
+    with pytest.raises(ValueError):
+        ps.line_sums(np.full(9, 1 / 9), ps.striations(3)[0])
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_striation_marginals_match_loop_reference(d):
+    # the index gather against a plain Python sum over each line's points
+    rng = np.random.default_rng(24 + d)
+    grids = np.stack([ps.wigner(linalg.random_mixed(d, seed=rng)) for _ in range(10)])
+    ref = np.array([[[sum(w[p, q] for p, q in line) for line in s.lines]
+                     for s in ps.striations(d)] for w in grids])
+    marg = ps.striation_marginals(grids.reshape(2, 5, d, d))
+    assert marg.shape == (2, 5, d + 1, d)
+    assert np.array_equal(marg.reshape(10, d + 1, d), ref)
+    assert np.array_equal(ps.striation_marginals(grids[3]), ref[3])
 
 
 def test_striations_structure():
