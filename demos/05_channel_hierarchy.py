@@ -40,7 +40,7 @@ print(f"  fixers among 3000 random channels: {fixers} (only the identity can)")
 print("\ncoherence as the budget for creating magic")
 rho = random_mixed(3, seed=rng)
 print(f"  distance_magic(rho)      = {distance_magic(rho):.6f}")
-print(f"  sup over incoherent maps = {estimate_cm(rho, 200, seed=rng):.6f} (sampled lower bound)")
+print(f"  sup over incoherent maps = {estimate_cm(rho, 200, seed=rng):.6f} (certified lower bound over sampled maps)")
 print(f"  distance_coherence(rho)  = {distance_coherence(rho):.6f} (proven ceiling)")
 
 print("\ninstructive failure 1: the bare partial-trace step is NOT l_p-monotone for p > 1")

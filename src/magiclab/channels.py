@@ -204,18 +204,20 @@ class HierarchyFlags:
 
 def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
     """Hierarchy flags for a channel; stabilizer preservation is probed on
-    random mixtures of polytope vertices."""
+    `n_probe` random mixtures of polytope vertices, solved as one batch: the
+    channel is preserving iff every probe image is within tol of the polytope."""
+    verts = vertex_set.projectors
+    if not channel.dim_in == channel.dim_out == vertex_set.dim:
+        raise ValueError(f"channel maps {channel.dim_in} -> {channel.dim_out}, "
+                         f"vertices have dimension {vertex_set.dim}")
     rng = rng_from(seed)
     incoh = is_incoherent(channel)
     mono = len(channel.kraus) == 1 and _is_monomial(channel.kraus[0])
-    preserving = True
-    for _ in range(n_probe):
-        wts = rng.dirichlet(np.ones(len(vertex_set.projectors)))
-        rho = np.einsum("m,mij->ij", wts, vertex_set.projectors)
-        res = stabilizer.polytope_distance(apply(channel, rho), vertex_set)
-        if res.distance > tol:
-            preserving = False
-            break
+    probes = np.einsum("nm,mij->nij", rng.dirichlet(np.ones(len(verts)), size=n_probe), verts)
+    kraus = np.stack(channel.kraus)
+    images = np.einsum("kab,nbc,kdc->nad", kraus, probes, kraus.conj())
+    bounds, _, _, _ = stabilizer.polytope_distance_batch(images, verts)
+    preserving = bool(np.all(bounds[:, 1] <= tol))
     gso = is_genuinely_stabilizer(channel, vertex_set, tol)
     return HierarchyFlags(incoherent=incoh, incoherent_clifford_unitary=incoh and mono,
                           stabilizer_preserving=preserving, genuinely_stabilizer=gso)
@@ -223,8 +225,9 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
 
 def estimate_cm(rho, n_trials, seed=None, n_kraus=None):
     """Certified lower bound on the supremum of polytope distance over
-    incoherent images of rho: maximize over the identity, the incoherent
-    Clifford unitaries and `n_trials` sampled incoherent channels.
+    incoherent images of rho: the largest dual lower bound over the identity,
+    the incoherent Clifford unitaries and `n_trials` sampled incoherent
+    channels.
     """
     rho = validate_density_matrix(rho)
     d = rho.shape[0]
@@ -236,8 +239,8 @@ def estimate_cm(rho, n_trials, seed=None, n_kraus=None):
         nk = n_kraus if n_kraus is not None else int(rng.integers(1, d * d + 1))
         images.append(apply(sample_incoherent_channel(d, nk, rng), rho))
     verts = stabilizer.stabilizer_pure_states(d).projectors
-    dists, _, _, _ = stabilizer.polytope_distance_batch(np.stack(images), verts)
-    return float(np.max(dists))
+    bounds, _, _, _ = stabilizer.polytope_distance_batch(np.stack(images), verts)
+    return float(np.max(bounds[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +265,20 @@ class AuditReport:
             yield f"{key}={val}"
 
 
+def _require_trials(n_trials):
+    if n_trials < 1:
+        raise ValueError(f"an audit needs at least one trial, got {n_trials}")
+
+
 def result1_audit(n_trials=10000, seed=0, tol=1e-8):
     """Magic after a random incoherent channel vs initial coherence:
-    distance_magic(channel(rho)) <= distance_coherence(rho) + tol.
+    distance_magic(channel(rho)) <= distance_coherence(rho) + tol, decided on
+    the conservative side of both certified brackets (magic upper bound minus
+    coherence lower bound).
     """
     from .linalg import random_mixed, random_pure
     from .linalg import dm_from_pure
+    _require_trials(n_trials)
     rng = rng_from(seed)
     states, images = [], []
     for i in range(n_trials):
@@ -277,12 +288,13 @@ def result1_audit(n_trials=10000, seed=0, tol=1e-8):
         images.append(apply(lam, rho))
     verts = stabilizer.stabilizer_pure_states(3).projectors
     basis = stabilizer.basis_projectors(3)
-    magic, _, _, _ = stabilizer.polytope_distance_batch(np.stack(images), verts)
-    coh, _, _, _ = stabilizer.polytope_distance_batch(np.stack(states), basis)
-    margins = magic - coh
+    magic, _, _, magic_ok = stabilizer.polytope_distance_batch(np.stack(images), verts)
+    coh, _, _, coh_ok = stabilizer.polytope_distance_batch(np.stack(states), basis)
+    margins = magic[:, 1] - coh[:, 0]
     worst = float(np.max(margins))
     return AuditReport(suite="result1", trials=n_trials, passed=worst <= tol, worst_margin=worst,
-                       details={"tolerance": tol, "violations": int(np.sum(margins > tol))})
+                       details={"tolerance": tol, "violations": int(np.sum(margins > tol)),
+                                "uncertified": int(np.sum(~(magic_ok & coh_ok)))})
 
 
 def lp_monotonicity_audit(n_trials=1000, seed=0, tol=1e-9, ps=(1.0, 1.5, 2.0, 3.0)):
@@ -299,6 +311,7 @@ def lp_monotonicity_audit(n_trials=1000, seed=0, tol=1e-9, ps=(1.0, 1.5, 2.0, 3.
     only p = 1 additionally asserts it on the joint state directly.
     """
     from .linalg import random_diagonal_state, random_mixed
+    _require_trials(n_trials)
     rng = rng_from(seed)
     monomials = incoherent_clifford_unitaries(3)
     worst = -np.inf
@@ -333,6 +346,7 @@ def selective_audit(n_trials=1000, seed=0, tol=1e-9):
     """Strong monotonicity of l1 under selective incoherent measurement:
     sum_i p_i C_l1(outcome_i) <= C_l1(rho) + tol."""
     from .linalg import dm_from_pure, random_mixed, random_pure
+    _require_trials(n_trials)
     rng = rng_from(seed)
     worst = -np.inf
     for i in range(n_trials):
@@ -349,6 +363,7 @@ def gso_audit(n_trials=10000, seed=0, tol=1e-7):
     deterministic core: a matrix diagonal in both the computational and the
     Fourier basis is a multiple of the identity (checked as a rank-1 kernel).
     """
+    _require_trials(n_trials)
     rng = rng_from(seed)
     verts = stabilizer.stabilizer_pure_states(2)
     fixers = 0

@@ -73,7 +73,9 @@ def cmd_stab(args):
         rho = _load_dm(args.distance)
         res = stabilizer.polytope_distance(rho, vset)
         print(f"distance={_fmt(res.distance)}")
-        print(f"converged={res.converged}")
+        print(f"lower={_fmt(res.lower)}")
+        print(f"gap={_fmt(res.gap)}")
+        print(f"certified={res.certified}")
         print(f"iterations={res.iterations}")
         print("weights=" + ",".join(_fmt(w) for w in res.weights))
         return 0

@@ -62,6 +62,9 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        for name in ("result1_trials", "lp_trials", "selective_trials", "gso_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def p_grid(self):
         n = int(round((self.p_stop - self.p_start) / self.p_step))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import stabilizer
 from .linalg import partial_transpose, trace_norm, validate_density_matrix
-from .phasespace import _is_prime, striation_marginals, wigner
+from .phasespace import _is_prime, striation_marginals, wigner, wigner_batch
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,10 @@ def lp_coherence(rho, p):
     """(sum_{i != j} |rho_ij|^p)^{1/p} for p >= 1."""
     if p < 1:
         raise ValueError(f"l_p coherence needs p >= 1, got p={p}")
-    rho = validate_density_matrix(rho)
+    return _lp_coherence(validate_density_matrix(rho), p)
+
+
+def _lp_coherence(rho, p):
     off = np.abs(rho - np.diag(np.diag(rho)))
     total = np.sum(off ** p)
     return float(total ** (1.0 / p))
@@ -79,9 +82,18 @@ def distance_coherence(rho):
     return stabilizer.incoherent_distance(rho)
 
 
+def _hull_distance(rho, verts):
+    """Certified upper bound on the trace distance from a validated rho to a hull."""
+    bounds, _, _, _ = stabilizer.polytope_distance_batch(rho[None], verts)
+    return float(bounds[0, 1])
+
+
 def negativity(rho, dims, on=1):
     """Entanglement negativity (||rho^{T_B}||_1 - 1)/2; zero on product states."""
-    rho = validate_density_matrix(rho)
+    return _negativity(validate_density_matrix(rho), dims, on)
+
+
+def _negativity(rho, dims, on=1):
     pt = partial_transpose(rho, dims, on)
     return float(max(0.0, (trace_norm(pt) - 1.0) / 2.0))
 
@@ -112,39 +124,48 @@ def cw_coherence(rho, full=False):
     lambda = 1 or d m_l. Returns the value, or a :class:`CwResult` if ``full``.
     """
     rho = validate_density_matrix(rho)
+    res = _cw_from_grid(rho, wigner_batch(rho[None], rho.shape[0])[0])
+    return res if full else res.value
+
+
+def _cw_from_grid(rho, w):
+    """The C_w closed form from a validated rho and its Wigner grid w."""
     d = rho.shape[0]
-    m = striation_marginals(wigner(rho))[1:].reshape(-1)
+    m = striation_marginals(w)[1:].reshape(-1)
     # a line sum rounded below 0 puts its breakpoint at the boundary lambda = 0
     lam = np.maximum(np.append(1.0, d * m), 0.0)
     vals = (np.abs(1.0 - lam) + np.abs(m - lam[:, None] / d).sum(axis=1)) / (d + 1)
     best = int(np.argmin(vals))
-    if full:
-        return CwResult(value=float(vals[best]), sigma=rho.diagonal().real.copy(),
-                        lam=float(lam[best]))
-    return float(vals[best])
+    return CwResult(value=float(vals[best]), sigma=rho.diagonal().real.copy(),
+                    lam=float(lam[best]))
 
 
 def all_monotones(rho, dims=None):
     """Every applicable monotone as a fixed-order list of MonotoneReports.
 
     Wigner-based entries require odd prime dimension; negativity requires
-    subsystem dims. Inapplicable entries are skipped.
+    subsystem dims. Inapplicable entries are skipped. rho is validated once
+    and its Wigner grid built once, for all entries.
     """
     rho = validate_density_matrix(rho)
     d = rho.shape[0]
     out = []
     wigner_ok = d % 2 == 1 and _is_prime(d)
     if wigner_ok:
-        out.append(MonotoneReport("sum_negativity", sum_negativity(rho)))
-        out.append(MonotoneReport("mana", mana(rho)))
-    out.append(MonotoneReport("l1_coherence", l1_coherence(rho)))
-    out.append(MonotoneReport("l2_coherence", lp_coherence(rho, 2)))
+        w = wigner_batch(rho[None], d)[0]
+        msn = float(sum_negativity_grid(w))
+        out.append(MonotoneReport("sum_negativity", msn))
+        out.append(MonotoneReport("mana", float(np.log(msn + 1.0))))
+    out.append(MonotoneReport("l1_coherence", float(l1_coherence_batch(rho))))
+    out.append(MonotoneReport("l2_coherence", _lp_coherence(rho, 2)))
     if wigner_ok:
-        res = cw_coherence(rho, full=True)
+        res = _cw_from_grid(rho, w)
         out.append(MonotoneReport("cw_coherence", res.value, {"lambda": res.lam}))
     if d == 3:
-        out.append(MonotoneReport("distance_magic", distance_magic(rho)))
-        out.append(MonotoneReport("distance_coherence", distance_coherence(rho)))
+        out.append(MonotoneReport("distance_magic",
+                                  _hull_distance(rho, stabilizer.stabilizer_pure_states(3).projectors)))
+        out.append(MonotoneReport("distance_coherence",
+                                  _hull_distance(rho, stabilizer.basis_projectors(3))))
     if dims is not None:
-        out.append(MonotoneReport("negativity", negativity(rho, dims)))
+        out.append(MonotoneReport("negativity", _negativity(rho, dims)))
     return out

@@ -4,17 +4,28 @@ The vertex set is the Clifford orbit of |0><0| under the generators
 X (shift), Z (clock), F (Fourier) and S (phase), closed by breadth-first
 search and deduplicated in trace distance. For d = 3 this yields the twelve
 qutrit vertices (the eigenvectors of the four mutually unbiased bases), for
-d = 2 the six octahedron vertices.
+d = 2 the six octahedron vertices. The set is cached per dimension, with
+read-only arrays.
 
 Distances are minimum trace distances to the convex hull of a vertex list,
 min over simplex weights w of (1/2)||rho - sum_i w_i v_i||_1. The solver is
-an ADMM splitting whose two half-steps are exact: eigenvalue soft
-thresholding for the trace-norm block and a tiny simplex-constrained least
-squares (FISTA) for the weights. The same minimizer over the
-computational-basis projectors gives the distance to the incoherent states.
-(A plain Frank-Wolfe scheme with exact line search stalls here: the
-steepest-descent vertex computed from a subgradient need not be a descent
-direction at the eigenvalue crossings where the optimum sits.)
+an ADMM splitting whose two half-steps are cheap: eigenvalue soft
+thresholding for the trace-norm block and a few warm-started FISTA steps of
+simplex-constrained least squares for the weights. Every distance comes as a
+certified bracket [lower, upper]. The upper bound is the trace distance at
+the current feasible weights. The lower bound is trace-norm duality: any
+Hermitian X with ||X||_inf <= 1/2 gives
+
+    (1/2)||rho - sigma||_1 >= tr(X rho) - max_i tr(X v_i)
+
+for every sigma in the hull. The solver tries two such X: the ADMM dual,
+negated and clipped to that ball, and the sign pattern of the residual
+rho - sum_i w_i v_i with its near-kernel direction tuned; each state stops
+once upper - lower <= tol. The same minimizer over the computational-basis
+projectors gives the distance to the incoherent states. (A plain Frank-Wolfe
+scheme with exact line search stalls here: the steepest-descent vertex
+computed from a subgradient need not be a descent direction at the
+eigenvalue crossings where the optimum sits.)
 """
 
 from dataclasses import dataclass
@@ -27,6 +38,8 @@ from .phasespace import _is_prime, clock_matrix, shift_matrix
 DEDUP_TOL = 1e-8
 
 GENERATOR_NAMES = ("X", "Z", "F", "S")
+
+_vertex_cache = {}
 
 
 def clifford_generators(d):
@@ -82,10 +95,13 @@ def stabilizer_pure_states(d):
     """Breadth-first Clifford-orbit closure of |0><0|, deduplicated.
 
     Supported for d in {2, 3}; BFS order (generator order X, Z, F, S) is
-    deterministic, so vertex indices are stable across runs.
+    deterministic, so vertex indices are stable across runs. The set is
+    cached per dimension and its arrays are read-only.
     """
     if d not in (2, 3):
         raise ValueError(f"vertex enumeration supports d in {{2, 3}}, got {d}")
+    if d in _vertex_cache:
+        return _vertex_cache[d]
     gens = clifford_generators(d)
     start = np.zeros(d, dtype=complex)
     start[0] = 1.0
@@ -105,7 +121,11 @@ def stabilizer_pure_states(d):
         frontier = next_frontier
     kets = np.array(kets)
     projectors = np.einsum("ni,nj->nij", kets, kets.conj())
-    return StabilizerVertexSet(dim=d, kets=kets, projectors=projectors, words=tuple(words))
+    kets.setflags(write=False)
+    projectors.setflags(write=False)
+    _vertex_cache[d] = StabilizerVertexSet(dim=d, kets=kets, projectors=projectors,
+                                           words=tuple(words))
+    return _vertex_cache[d]
 
 
 def basis_projectors(d):
@@ -130,41 +150,104 @@ def _project_simplex_batch(v):
 
 @dataclass(frozen=True)
 class PolytopeResult:
-    """Outcome of a simplex-constrained trace-distance minimization."""
+    """Outcome of a simplex-constrained trace-distance minimization.
+
+    The distance lies in [lower, distance]: `distance` is the trace distance
+    at `weights`, `lower` the dual certificate, and `certified` means
+    gap = distance - lower closed to within the solver's tolerance. The two
+    bounds are separate float sums, so at an exact optimum the gap can read
+    a rounding-level negative value.
+    """
     distance: float
+    lower: float
+    gap: float
     weights: np.ndarray
     iterations: int
-    converged: bool
+    certified: bool
 
 
-def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000, inner=150, relax=1.6):
-    """min_w (1/2)||rho - sum_i w_i v_i||_1 over the simplex, for a state stack.
+def _from_eigh(u, lam):
+    """u diag(lam) u^dag for stacks of eigenvectors and eigenvalues."""
+    return (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
+def _pairings(x, rhos, vdual):
+    """tr(X rho) per state and tr(X v_i) per state and vertex, for Hermitian X."""
+    return np.einsum("nij,nji->n", x, rhos).real, (x.reshape(len(x), -1) @ vdual).real
+
+
+def _clipped_dual_bound(rhos, y, vdual):
+    """L(X) = tr(X rho) - max_i tr(X v_i) at X = -y with its eigenvalues clipped
+    to [-1/2, 1/2]."""
+    lam, u = np.linalg.eigh(-y)
+    at_rho, at_verts = _pairings(_from_eigh(u, np.clip(lam, -0.5, 0.5)), rhos, vdual)
+    return at_rho - at_verts.max(axis=1)
+
+
+def _residual_bracket(rhos, delta, vdual):
+    """The upper bound (1/2)||delta||_1 at the current weights, and the best
+    lower bound over the witnesses X(c) = (1/2) sign(delta) on every eigenvector
+    of delta = rho - Vw but the one nearest the kernel, and c in [-1/2, 1/2] on
+    that one. At an optimum of a qubit or qutrit problem, delta has at most one
+    zero eigenvalue and complementary slackness puts an optimal dual in this
+    family; L(c) is concave and piecewise linear, so it peaks at c = +-1/2 or
+    where two vertex terms cross."""
+    n = len(rhos)
+    lam, u = np.linalg.eigh(delta)
+    rows = np.arange(n)
+    k0 = np.argmin(np.abs(lam), axis=1)
+    sign = 0.5 * np.sign(lam)
+    sign[rows, k0] = 0.0
+    u0 = u[rows, :, k0]
+    a, g = _pairings(_from_eigh(u, sign), rhos, vdual)
+    b, slope = _pairings(u0[:, :, None] * u0.conj()[:, None, :], rhos, vdual)
+    i, j = np.triu_indices(vdual.shape[1], 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (g[:, i] - g[:, j]) / (slope[:, j] - slope[:, i])
+    c = np.clip(np.nan_to_num(cross), -0.5, 0.5)
+    c = np.concatenate([c, np.full((n, 2), [-0.5, 0.5])], axis=1)
+    envelope = np.full(c.shape, -np.inf)
+    for gi, si in zip(g.T, slope.T):
+        envelope = np.maximum(envelope, gi[:, None] + si[:, None] * c)
+    lower = np.max(a[:, None] + b[:, None] * c - envelope, axis=1)
+    return 0.5 * np.sum(np.abs(lam), axis=1), lower
+
+
+def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, relax=1.6):
+    """min_w (1/2)||rho - sum_i w_i v_i||_1 over the simplex, for a state stack,
+    bracketed by a dual lower bound.
 
     Over-relaxed ADMM on the split M = rho - Vw: the M update soft-thresholds
-    eigenvalues at 1/(2 tau), the w update solves the quadratic simplex
-    subproblem with warm-started FISTA, and the scaled dual Y tracks the
-    constraint. The per-state penalty tau grows when the split residual lags.
-    The reported distance is always evaluated at the feasible weights, so it
-    is a valid upper bound at any iteration count.
+    eigenvalues at 1/(2 tau), the w update takes `inner` warm-started FISTA
+    steps on the quadratic simplex subproblem, and the dual Y tracks the
+    constraint. Every 10 sweeps each state gets the upper bound at its
+    feasible weights and a lower bound from two dual witnesses: -Y clipped to
+    the dual ball, and the sign pattern of the residual rho - Vw (kept as a
+    running max, from 0 since distances are nonnegative); the per-state
+    penalty tau grows when the split residual lags. A state stops when
+    upper - lower <= tol.
 
-    Returns (distances, weights, iterations, converged); `converged` means
-    the objective settled to within `tol` (checked every 10 sweeps together
-    with the split residual) before `max_iter`.
+    Returns (bounds, weights, iterations, certified): `bounds` is (n, 2) with
+    columns [lower, upper], the upper bound evaluated at `weights`, and
+    `certified` marks the states whose gap closed to within `tol` before
+    `max_iter`.
     """
     rhos = np.asarray(rhos, dtype=complex)
     verts = np.asarray(vertices, dtype=complex)
-    n = rhos.shape[0]
+    n, d = rhos.shape[:2]
     m = verts.shape[0]
+    vflat = verts.reshape(m, -1)                           # Vw = w @ vflat
+    vdual = verts.transpose(0, 2, 1).reshape(m, -1).T      # tr(X v_i) = X.flat @ vdual
 
-    gram = np.einsum("aij,bji->ab", verts, verts).real
+    gram = (vflat @ vdual).real
     lip = np.linalg.eigvalsh(gram)[-1]
 
     w = np.full((n, m), 1.0 / m)
     y = np.zeros_like(rhos)
     tau = np.ones(n)
-    f = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rhos - np.einsum("nm,mij->nij", w, verts))), axis=-1)
+    bounds = np.tile([0.0, np.inf], (n, 1))  # [lower, upper]
     iters = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
+    certified = np.zeros(n, dtype=bool)
     active = np.arange(n)
 
     for sweep in range(1, max_iter + 1):
@@ -172,16 +255,16 @@ def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000, inner=150, 
             break
         wa, ya, ta = w[active], y[active], tau[active]
         ra = rhos[active]
-        vw = np.einsum("nm,mij->nij", wa, verts)
+        delta = ra - (wa @ vflat).reshape(-1, d, d)
+        scaled_y = ya / ta[:, None, None]
 
         # trace-norm block: eigenvalue soft threshold
-        lam, u = np.linalg.eigh(ra - vw - ya / ta[:, None, None])
+        lam, u = np.linalg.eigh(delta - scaled_y)
         lam = np.sign(lam) * np.maximum(np.abs(lam) - 0.5 / ta[:, None], 0.0)
-        mat = np.einsum("nak,nk,nbk->nab", u, lam, u.conj())
-        mat = relax * mat + (1.0 - relax) * (ra - vw)
+        mat = relax * _from_eigh(u, lam) + (1.0 - relax) * delta
 
         # weight block: min_w ||mat - rho + Vw + y/tau||_F^2 on the simplex
-        b = np.einsum("nij,mji->nm", mat - ra + ya / ta[:, None, None], verts).real
+        b = ((mat - ra + scaled_y).reshape(len(ra), -1) @ vdual).real
         x, z, tk = wa.copy(), wa.copy(), 1.0
         for _ in range(inner):
             x_new = _project_simplex_batch(z - (z @ gram + b) / lip)
@@ -193,35 +276,38 @@ def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000, inner=150, 
             x, tk = x_new, tk_new
         wa = x
 
-        resid = mat - (ra - np.einsum("nm,mij->nij", wa, verts))
+        delta = ra - (wa @ vflat).reshape(-1, d, d)
+        resid = mat - delta
+        ya = ya + ta[:, None, None] * resid
         w[active] = wa
-        y[active] = ya + ta[:, None, None] * resid
+        y[active] = ya
         iters[active] = sweep
 
         if sweep % 10 == 0 or sweep == max_iter:
-            fa = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(
-                rhos[active] - np.einsum("nm,mij->nij", wa, verts))), axis=-1)
+            upper, lower = _residual_bracket(ra, delta, vdual)
+            lower = np.maximum(lower, _clipped_dual_bound(ra, ya, vdual))
+            lower = np.maximum(lower, bounds[active, 0])
+            bounds[active] = np.stack([lower, upper], axis=1)
             rp = np.max(np.abs(resid), axis=(1, 2))
-            done = (np.abs(f[active] - fa) < tol) & (rp < 1e-9)
-            done |= fa <= tol  # distances are nonnegative: the floor is optimal
-            f[active] = fa
-            tau[active] = np.where(rp > 1e-7, tau[active] * 1.5, tau[active])
-            converged[np.compress(done, active)] = True
+            tau[active] = np.where(rp > 1e-7, ta * 1.5, ta)
+            done = upper - lower <= tol
+            certified[np.compress(done, active)] = True
             active = np.compress(~done, active)
 
-    f = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rhos - np.einsum("nm,mij->nij", w, verts))), axis=-1)
-    return f, w, iters, converged
+    return bounds, w, iters, certified
 
 
 def polytope_distance(rho, vertex_set, tol=1e-9, max_iter=5000):
-    """Minimum trace distance from rho to the convex hull of a vertex set."""
+    """Minimum trace distance from rho to the convex hull of a vertex set,
+    with its certified lower bound."""
     rho = validate_density_matrix(rho)
     verts = vertex_set.projectors if isinstance(vertex_set, StabilizerVertexSet) else np.asarray(vertex_set)
     if verts.shape[1] != rho.shape[0]:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]}, vertices {verts.shape[1]}")
-    dist, w, iters, conv = polytope_distance_batch(rho[None], verts, tol=tol, max_iter=max_iter)
-    return PolytopeResult(distance=float(dist[0]), weights=w[0],
-                          iterations=int(iters[0]), converged=bool(conv[0]))
+    bounds, w, iters, certified = polytope_distance_batch(rho[None], verts, tol=tol, max_iter=max_iter)
+    lower, upper = bounds[0]
+    return PolytopeResult(distance=float(upper), lower=float(lower), gap=float(upper - lower),
+                          weights=w[0], iterations=int(iters[0]), certified=bool(certified[0]))
 
 
 def in_polytope(rho, vertex_set, tol=1e-7):

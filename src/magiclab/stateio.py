@@ -3,9 +3,11 @@
 Format: first line ``dim=<d>``, then either one line of d comma-separated
 complex amplitudes (pure state) or d lines of d entries (density matrix),
 row-major. Entries read ``a+bi`` with a '.' decimal point, locale
-independent. Blank lines and lines starting with '#' are ignored, so the
-output of ``stab --list`` parses directly.
+independent, and must be finite. Blank lines and lines starting with '#'
+are ignored, so the output of ``stab --list`` parses directly.
 """
+
+import cmath
 
 import numpy as np
 
@@ -14,11 +16,15 @@ def _parse_complex(token):
     token = token.strip().replace(" ", "")
     if not token:
         raise ValueError("empty numeric field")
-    s = token.replace("i", "j").replace("I", "j")
+    # only a trailing i is the imaginary unit, not the i of 'inf'
+    s = token[:-1] + "j" if token[-1] in "iI" else token
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError as exc:
         raise ValueError(f"cannot parse complex entry {token!r}") from exc
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite complex entry {token!r}")
+    return z
 
 
 def _fmt_complex(z):

@@ -173,10 +173,27 @@ def test_classify_flags(qubit_vertices):
     assert (not flags.genuinely_stabilizer) or flags.stabilizer_preserving
 
 
+def test_classify_flags_non_preserving_unitary(qutrit_vertices):
+    # a generic unitary moves some vertex mixture out of the polytope
+    flags = ch.classify(ch.sample_channel(3, 1, seed=5), qutrit_vertices, n_probe=20)
+    assert not flags.stabilizer_preserving
+    assert not flags.incoherent and not flags.genuinely_stabilizer
+    with pytest.raises(ValueError):
+        ch.classify(ch.identity_channel(2), qutrit_vertices)
+
+
 def test_result1_audit_small():
     report = ch.result1_audit(n_trials=400, seed=1)
     assert report.passed
     assert report.worst_margin <= 1e-8
+    assert report.details["uncertified"] == 0
+
+
+@pytest.mark.parametrize("audit", sorted(ch.AUDIT_SUITES))
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_audits_reject_no_trials(audit, n_trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        ch.AUDIT_SUITES[audit](n_trials=n_trials, seed=0)
 
 
 def test_lp_audit_small():

@@ -73,7 +73,11 @@ def test_stab_distance(strange_file):
     assert res.returncode == 0
     values = dict(ln.split("=", 1) for ln in res.stdout.strip().splitlines())
     assert abs(float(values["distance"]) - 0.5) < 1e-6
-    assert values["converged"] == "True"
+    assert values["certified"] == "True"
+    # the two bounds are separate float sums: allow rounding at the optimum
+    assert float(values["lower"]) <= float(values["distance"]) + 1e-12
+    assert abs(float(values["gap"])) <= 1e-9
+    assert int(values["iterations"]) >= 1
     weights = [float(x) for x in values["weights"].split(",")]
     assert abs(sum(weights) - 1) < 1e-9
 
@@ -84,6 +88,23 @@ def test_audit_command_exit_codes():
     assert "passed=True" in res.stdout
     res = run_cli("audit", "--suite", "gso", "--n", "100", "--seed", "3")
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_audit_rejects_trial_count_below_one(n):
+    res = run_cli("audit", "--suite", "result1", "--n", n, "--seed", "3")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "at least one trial" in res.stderr
+    assert res.stdout == ""
+
+
+def test_run_all_rejects_zero_trials_in_config(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("lp_trials=0\n")
+    res = run_cli("run-all", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "lp_trials" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_command(tmp_path):

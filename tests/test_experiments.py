@@ -20,6 +20,9 @@ def test_config_validation():
         ex.ExperimentConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(p_step=-0.1)
+    for key in ("result1_trials", "lp_trials", "selective_trials", "gso_trials"):
+        with pytest.raises(ValueError, match=key):
+            ex.ExperimentConfig(**{key: 0})
 
 
 def test_config_from_file(tmp_path):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from magiclab import linalg, phasespace as ps, stabilizer as st
 from conftest import random_qutrit_batch, slsqp_polytope_oracle
@@ -78,6 +79,15 @@ def test_vertices_have_zero_sum_negativity(qutrit_vertices):
         assert msn < 1e-10
 
 
+def test_vertex_set_cached_read_only():
+    vset = st.stabilizer_pure_states(3)
+    assert st.stabilizer_pure_states(3) is vset
+    with pytest.raises(ValueError):
+        vset.projectors[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        vset.kets[0, 0] = 0.0
+
+
 def test_enumeration_rejects_unsupported():
     with pytest.raises(ValueError):
         st.stabilizer_pure_states(5)
@@ -86,14 +96,14 @@ def test_enumeration_rejects_unsupported():
 def test_polytope_distance_vertex(qutrit_vertices):
     res = st.polytope_distance(qutrit_vertices.projectors[4], qutrit_vertices)
     assert res.distance <= 1e-9
-    assert res.converged
+    assert res.certified
     assert res.weights[4] > 1 - 1e-6
 
 
 def test_polytope_distance_maximally_mixed(qutrit_vertices):
     res = st.polytope_distance(linalg.maximally_mixed(3), qutrit_vertices)
     assert res.distance <= 1e-9
-    assert res.converged
+    assert res.certified
 
 
 def test_polytope_distance_strange_regression(qutrit_vertices, named_states):
@@ -112,17 +122,71 @@ def test_polytope_distance_norrell_regression(qutrit_vertices, named_states):
 
 def test_polytope_distance_random_vs_slsqp(qutrit_vertices):
     rhos = random_qutrit_batch(6, seed=30)
-    dists, _, _, conv = st.polytope_distance_batch(rhos, qutrit_vertices.projectors)
-    assert conv.all()
-    for rho, d in zip(rhos, dists):
+    bounds, _, _, certified = st.polytope_distance_batch(rhos, qutrit_vertices.projectors)
+    assert certified.all()
+    assert np.all(bounds[:, 1] - bounds[:, 0] <= 1e-9)
+    for rho, (lower, d) in zip(rhos, bounds):
         oracle = slsqp_polytope_oracle(rho, qutrit_vertices.projectors)
         assert d <= oracle + 1e-8   # ours is never worse (both are upper bounds)
         assert abs(d - oracle) < 5e-7
+        # the oracle's value is attained at feasible weights: no valid lower bound exceeds it
+        assert lower <= oracle + 1e-12
+
+
+def test_incoherent_bracket_vs_slsqp():
+    rhos = random_qutrit_batch(6, seed=38)
+    basis = st.basis_projectors(3)
+    bounds, _, _, certified = st.polytope_distance_batch(rhos, basis)
+    assert certified.all()
+    assert np.all(bounds[:, 1] - bounds[:, 0] <= 1e-9)
+    for rho, (lower, upper) in zip(rhos, bounds):
+        oracle = slsqp_polytope_oracle(rho, basis)
+        assert lower <= oracle + 1e-12
+        assert abs(upper - oracle) < 5e-7
+
+
+def test_qubit_incoherent_distance_bracket():
+    # the qubit distance to the diagonal states is exactly |rho_01|
+    rng = np.random.default_rng(39)
+    rhos = np.stack([linalg.random_mixed(2, seed=rng) for _ in range(40)]
+                    + [linalg.dm_from_pure(linalg.random_pure(2, rng)) for _ in range(40)])
+    bounds, _, _, certified = st.polytope_distance_batch(rhos, st.basis_projectors(2))
+    exact = np.abs(rhos[:, 0, 1])
+    assert certified.all()
+    assert np.all(bounds[:, 1] - bounds[:, 0] <= 1e-9)
+    assert np.all(bounds[:, 0] <= exact + 1e-12)
+    assert np.all(exact <= bounds[:, 1] + 1e-12)
+
+
+_entries = hst.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=hst.lists(_entries, min_size=9, max_size=9),
+       im=hst.lists(_entries, min_size=9, max_size=9),
+       mix=hst.floats(min_value=0.0, max_value=1.0),
+       vertex_kind=hst.sampled_from(["stabilizer", "basis"]),
+       tol=hst.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_certificate_property(re, im, mix, vertex_kind, tol):
+    g = np.array(re).reshape(3, 3) + 1j * np.array(im).reshape(3, 3)
+    gram = g @ g.conj().T
+    if np.trace(gram).real < 1e-6:
+        gram = np.eye(3)
+    verts = (st.stabilizer_pure_states(3).projectors if vertex_kind == "stabilizer"
+             else st.basis_projectors(3))
+    # pull part of the way towards the maximally mixed state to reach the interior
+    rho = (1 - mix) * gram / np.trace(gram).real + mix * np.eye(3) / 3
+    bounds, _, _, certified = st.polytope_distance_batch(rho[None], verts, tol=tol)
+    lower, upper = bounds[0]
+    assert 0.0 <= lower <= upper + 1e-12   # float slack: the two bounds are separate sums
+    if certified[0]:
+        assert upper - lower <= tol
 
 
 def test_minimizer_validity(qutrit_vertices):
     rhos = random_qutrit_batch(50, seed=31)
-    dists, weights, _, _ = st.polytope_distance_batch(rhos, qutrit_vertices.projectors)
+    bounds, weights, _, _ = st.polytope_distance_batch(rhos, qutrit_vertices.projectors)
+    dists = bounds[:, 1]
     assert np.all(weights >= -1e-12)
     assert np.max(np.abs(weights.sum(axis=1) - 1)) < 1e-10
     redone = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(
@@ -174,9 +238,13 @@ def test_membership_agrees_with_lp_oracle(qutrit_vertices):
         inside = np.einsum("m,mij->ij", wts, verts)
         assert lp_member(inside)
         assert st.in_polytope(inside, qutrit_vertices)
+        # a member is at distance 0, so no lower bound may certify it outside
+        assert st.polytope_distance(inside, qutrit_vertices).lower <= 1e-12
     strange = linalg.dm_from_pure(linalg.strange_state())
     assert not lp_member(strange)
     assert not st.in_polytope(strange, qutrit_vertices)
+    # and the dual bound alone proves the LP's infeasibility verdict
+    assert st.polytope_distance(strange, qutrit_vertices).lower > 0.5 - 1e-9
 
 
 def test_incoherent_distance_diagonal_zero():
@@ -210,4 +278,4 @@ def test_incoherent_dominates_polytope_distance(qutrit_vertices):
     rhos = random_qutrit_batch(1000, seed=36)
     d_stab, _, _, _ = st.polytope_distance_batch(rhos, qutrit_vertices.projectors)
     d_inc, _, _, _ = st.polytope_distance_batch(rhos, st.basis_projectors(3))
-    assert np.all(d_inc >= d_stab - 1e-9)
+    assert np.all(d_inc[:, 1] >= d_stab[:, 1] - 1e-9)

@@ -46,6 +46,12 @@ def test_errors():
         stateio.dumps_state(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("entry", ["nan+0i", "inf+0i", "-inf", "0+nani", "1-infi"])
+def test_non_finite_entries_rejected(entry):
+    with pytest.raises(ValueError, match="non-finite"):
+        stateio.loads_state(f"dim=2\n{entry},0+0i\n")
+
+
 def test_dumps_full_precision():
     rho = linalg.random_mixed(3, seed=72)
     assert np.array_equal(stateio.loads_state(stateio.dumps_state(rho)), rho)
