@@ -6,11 +6,11 @@ failure modes that the audits are careful to stepize around.
 import numpy as np
 
 from magiclab import (cw_coherence, dm_from_pure, estimate_cm,
-                      incoherent_clifford_unitaries, is_genuinely_stabilizer,
-                      l1_coherence, lp_coherence, partial_trace, random_mixed,
-                      sample_channel, sample_incoherent_channel,
+                      incoherent_clifford_unitaries, l1_coherence, lp_coherence,
+                      partial_trace, random_mixed, sample_incoherent_channel,
                       stabilizer_pure_states, strange_state, tensor, wigner)
-from magiclab.channels import classify, dephasing_channel, identity_channel, unitary_channel
+from magiclab.channels import (classify, dephasing_channel, gso_audit, identity_channel,
+                               unitary_channel)
 from magiclab.monotones import distance_coherence, distance_magic
 from magiclab.phasespace import striation_marginals
 from magiclab.stabilizer import clifford_generators
@@ -33,9 +33,9 @@ print(f"\nmonomial Clifford unitaries: {len(incoherent_clifford_unitaries(2))} f
       f"{len(incoherent_clifford_unitaries(3))} for d=3")
 
 print("\nsearch for a nontrivial channel fixing every qubit stabilizer vertex")
-fixers = sum(is_genuinely_stabilizer(sample_channel(2, int(rng.integers(1, 5)), rng), verts2)
-             for _ in range(3000))
-print(f"  fixers among 3000 random channels: {fixers} (only the identity can)")
+gso = gso_audit(n_trials=3000, seed=rng)
+print(f"  fixers among 3000 random channels: {gso.details['non_identity_fixers']} "
+      "(only the identity can)")
 
 print("\ncoherence as the budget for creating magic")
 rho = random_mixed(3, seed=rng)

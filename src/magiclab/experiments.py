@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels
-from .linalg import (dm_from_pure, maximally_coherent_state, maximally_mixed,
-                     norrell_state, partial_trace, partial_transpose, strange_state)
+from .linalg import (dm_from_pure, ginibre_dm_batch, haar_pure_batch,
+                     maximally_coherent_state, maximally_mixed, norrell_state,
+                     partial_trace, partial_transpose, strange_state)
 from .monotones import l1_coherence_batch, sum_negativity_grid
 from .phasespace import wigner_batch
 
@@ -115,21 +116,6 @@ def write_csv(path, text):
 
 
 # ---------------------------------------------------------------------------
-# batch state sampling
-# ---------------------------------------------------------------------------
-
-def haar_pure_batch(n, d, rng):
-    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    v /= np.linalg.norm(v, axis=1)[:, None]
-    return np.einsum("ni,nj->nij", v, v.conj())
-
-def ginibre_dm_batch(n, d, rank, rng):
-    g = rng.standard_normal((n, d, rank)) + 1j * rng.standard_normal((n, d, rank))
-    rho = np.einsum("nik,njk->nij", g, g.conj())
-    return rho / np.einsum("nii->n", rho).real[:, None, None]
-
-
-# ---------------------------------------------------------------------------
 # noise sweep
 # ---------------------------------------------------------------------------
 
@@ -149,9 +135,7 @@ def _sweep_references(p):
 def _detect_kink(p, measured, branch1, branch2):
     """Grid point where the better-fitting branch switches: the last p at
     which branch1's residual does not exceed branch2's."""
-    r1 = np.abs(measured - branch1)
-    r2 = np.abs(measured - branch2)
-    better1 = r1 <= r2
+    better1 = np.abs(measured - branch1) <= np.abs(measured - branch2)
     if not better1.any() or better1.all():
         return None
     return float(p[np.max(np.nonzero(better1)[0])])
@@ -187,20 +171,16 @@ def noise_sweep(cfg):
         curves[name] = sum_negativity_grid(wigner_batch(rhos, 3))
 
     refs = _sweep_references(p)
-    measured = [curves["strange_white"], curves["norrell_white"],
-                curves["strange_coherent"], curves["norrell_coherent"]]
+    measured = list(curves.values())
     max_resid = max(float(np.max(np.abs(m - r))) for m, r in zip(measured, refs))
 
     kinks = {}
-    kk = _detect_kink(p, curves["strange_white"], (2 / 9) * (3 - 4 * p), np.zeros_like(p))
-    if kk is not None:
-        kinks["strange_white"] = kk
-    kk = _detect_kink(p, curves["norrell_white"], (2 / 9) * (3 - 5 * p), np.zeros_like(p))
-    if kk is not None:
-        kinks["norrell_white"] = kk
-    kk = _detect_kink(p, curves["strange_coherent"], (2 / 9) * (3 - 2 * p), (1 / 9) * (3 + p))
-    if kk is not None:
-        kinks["strange_coherent"] = kk
+    for name, branch1, branch2 in (("strange_white", (2 / 9) * (3 - 4 * p), np.zeros_like(p)),
+                                   ("norrell_white", (2 / 9) * (3 - 5 * p), np.zeros_like(p)),
+                                   ("strange_coherent", (2 / 9) * (3 - 2 * p), (1 / 9) * (3 + p))):
+        kink = _detect_kink(p, curves[name], branch1, branch2)
+        if kink is not None:
+            kinks[name] = kink
 
     rows = list(zip(p, *measured, *refs))
     return SweepData(rows=rows, max_abs_residual=max_resid, kinks=kinks)

@@ -134,16 +134,21 @@ def random_mixed(d, rank=None, seed=None):
         rank = d
     if not 1 <= rank <= d:
         raise ValueError(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
-    rng = rng_from(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return ginibre_dm_batch(1, d, rank, rng_from(seed))[0]
 
 
-def random_diagonal_state(d, seed=None):
-    """Random incoherent state: uniform (Dirichlet) weights on the basis projectors."""
-    rng = rng_from(seed)
-    return np.diag(rng.dirichlet(np.ones(d))).astype(complex)
+def haar_pure_batch(n, d, rng):
+    """n Haar-random pure-state projectors, stacked (n, d, d)."""
+    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return np.einsum("ni,nj->nij", v, v.conj())
+
+
+def ginibre_dm_batch(n, d, rank, rng):
+    """n density matrices G G^dag / tr(G G^dag) from d x rank Ginibre matrices, (n, d, d)."""
+    g = rng.standard_normal((n, d, rank)) + 1j * rng.standard_normal((n, d, rank))
+    rho = np.einsum("nik,njk->nij", g, g.conj())
+    return rho / np.einsum("nii->n", rho).real[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +156,11 @@ def random_diagonal_state(d, seed=None):
 # ---------------------------------------------------------------------------
 
 def tensor(a, b):
-    """Kronecker product of two states (or operators)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two operators (or density matrices); leading axes
+    are batch axes."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    t = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return t.reshape(t.shape[:-4] + (t.shape[-4] * t.shape[-3], t.shape[-2] * t.shape[-1]))
 
 
 def _check_dims(rho, dims):

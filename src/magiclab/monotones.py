@@ -5,8 +5,10 @@ coherence by l_p norms of the off-diagonal part, by minimum trace distance
 to the incoherent states, and by the line-sum functional
 :func:`cw_coherence`, computed exactly from the non-vertical striation
 marginals by a one-variable closed form. Entanglement is the negativity of
-the partial transpose. Sum negativity and l1 coherence have batch kernels
-over (..., d, d) stacks, shared by the scalar forms and the experiments.
+the partial transpose. Sum negativity, l1 and l_p coherence and C_w have
+batch kernels over (..., d, d) stacks (of Wigner grids for sum negativity
+and C_w), shared by the scalar forms, the experiments and the channel
+audits.
 """
 
 from dataclasses import dataclass, field
@@ -60,13 +62,15 @@ def lp_coherence(rho, p):
     """(sum_{i != j} |rho_ij|^p)^{1/p} for p >= 1."""
     if p < 1:
         raise ValueError(f"l_p coherence needs p >= 1, got p={p}")
-    return _lp_coherence(validate_density_matrix(rho), p)
+    return float(lp_coherence_batch(validate_density_matrix(rho), p))
 
 
-def _lp_coherence(rho, p):
-    off = np.abs(rho - np.diag(np.diag(rho)))
-    total = np.sum(off ** p)
-    return float(total ** (1.0 / p))
+def lp_coherence_batch(rhos, p):
+    """l_p coherence of a matrix (d, d) or a stack (..., d, d), without validation."""
+    off = np.abs(rhos) * (1.0 - np.eye(np.shape(rhos)[-1]))
+    # keepdims keeps one matrix's sum an array: a numpy scalar's ** rounds differently
+    total = np.sum(off ** p, axis=(-2, -1), keepdims=True)
+    return (total ** (1.0 / p))[..., 0, 0]
 
 
 def distance_magic(rho, vertex_set=None):
@@ -74,18 +78,12 @@ def distance_magic(rho, vertex_set=None):
     rho = validate_density_matrix(rho)
     if vertex_set is None:
         vertex_set = stabilizer.stabilizer_pure_states(rho.shape[0])
-    return stabilizer.polytope_distance(rho, vertex_set).distance
+    return stabilizer._polytope_result(rho, vertex_set).distance
 
 
 def distance_coherence(rho):
     """Minimum trace distance to the incoherent (diagonal) states."""
     return stabilizer.incoherent_distance(rho)
-
-
-def _hull_distance(rho, verts):
-    """Certified upper bound on the trace distance from a validated rho to a hull."""
-    bounds, _, _, _ = stabilizer.polytope_distance_batch(rho[None], verts)
-    return float(bounds[0, 1])
 
 
 def negativity(rho, dims, on=1):
@@ -124,20 +122,24 @@ def cw_coherence(rho, full=False):
     lambda = 1 or d m_l. Returns the value, or a :class:`CwResult` if ``full``.
     """
     rho = validate_density_matrix(rho)
-    res = _cw_from_grid(rho, wigner_batch(rho[None], rho.shape[0])[0])
-    return res if full else res.value
+    value, lam = cw_coherence_grid(wigner_batch(rho[None], rho.shape[0])[0])
+    if not full:
+        return float(value)
+    return CwResult(value=float(value), sigma=rho.diagonal().real.copy(), lam=float(lam))
 
 
-def _cw_from_grid(rho, w):
-    """The C_w closed form from a validated rho and its Wigner grid w."""
-    d = rho.shape[0]
-    m = striation_marginals(w)[1:].reshape(-1)
+def cw_coherence_grid(w):
+    """C_w and its minimizing lambda straight from a Wigner grid (d, d) or a
+    stack of grids (..., d, d)."""
+    d = np.shape(w)[-1]
+    m = striation_marginals(w)[..., 1:, :].reshape(np.shape(w)[:-2] + (d * d,))
     # a line sum rounded below 0 puts its breakpoint at the boundary lambda = 0
-    lam = np.maximum(np.append(1.0, d * m), 0.0)
-    vals = (np.abs(1.0 - lam) + np.abs(m - lam[:, None] / d).sum(axis=1)) / (d + 1)
-    best = int(np.argmin(vals))
-    return CwResult(value=float(vals[best]), sigma=rho.diagonal().real.copy(),
-                    lam=float(lam[best]))
+    lam = np.maximum(np.concatenate([np.ones(m.shape[:-1] + (1,)), d * m], axis=-1), 0.0)
+    # cumsum adds in a fixed order, so a grid's value does not depend on its batch
+    line_terms = np.cumsum(np.abs(m[..., None, :] - lam[..., None] / d), axis=-1)[..., -1]
+    vals = (np.abs(1.0 - lam) + line_terms) / (d + 1)
+    best = np.argmin(vals, axis=-1)[..., None]
+    return np.take_along_axis(vals, best, -1)[..., 0], np.take_along_axis(lam, best, -1)[..., 0]
 
 
 def all_monotones(rho, dims=None):
@@ -157,15 +159,14 @@ def all_monotones(rho, dims=None):
         out.append(MonotoneReport("sum_negativity", msn))
         out.append(MonotoneReport("mana", float(np.log(msn + 1.0))))
     out.append(MonotoneReport("l1_coherence", float(l1_coherence_batch(rho))))
-    out.append(MonotoneReport("l2_coherence", _lp_coherence(rho, 2)))
+    out.append(MonotoneReport("l2_coherence", float(lp_coherence_batch(rho, 2))))
     if wigner_ok:
-        res = _cw_from_grid(rho, w)
-        out.append(MonotoneReport("cw_coherence", res.value, {"lambda": res.lam}))
+        value, lam = cw_coherence_grid(w)
+        out.append(MonotoneReport("cw_coherence", float(value), {"lambda": float(lam)}))
     if d == 3:
-        out.append(MonotoneReport("distance_magic",
-                                  _hull_distance(rho, stabilizer.stabilizer_pure_states(3).projectors)))
-        out.append(MonotoneReport("distance_coherence",
-                                  _hull_distance(rho, stabilizer.basis_projectors(3))))
+        for name, verts in (("distance_magic", stabilizer.stabilizer_pure_states(3)),
+                            ("distance_coherence", stabilizer.basis_projectors(3))):
+            out.append(MonotoneReport(name, stabilizer._polytope_result(rho, verts).distance))
     if dims is not None:
         out.append(MonotoneReport("negativity", _negativity(rho, dims)))
     return out

@@ -41,10 +41,7 @@ def _require_odd_prime(d):
 
 def shift_matrix(d):
     """X |j> = |j+1 mod d>."""
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
-    return x
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
 
 
 def clock_matrix(d):

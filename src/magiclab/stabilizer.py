@@ -1,11 +1,12 @@
 """Pure stabilizer states and distances to the stabilizer polytope.
 
-The vertex set is the Clifford orbit of |0><0| under the generators
-X (shift), Z (clock), F (Fourier) and S (phase), closed by breadth-first
-search and deduplicated in trace distance. For d = 3 this yields the twelve
-qutrit vertices (the eigenvectors of the four mutually unbiased bases), for
-d = 2 the six octahedron vertices. The set is cached per dimension, with
-read-only arrays.
+The single-qudit Clifford group is enumerated once per dimension, by
+breadth-first search over words in the generators X (shift), Z (clock),
+F (Fourier) and S (phase), modulo global phase: 24 elements for d = 2, 216
+for d = 3. The vertex set is the group's orbit of |0><0|, deduplicated by
+phase: the twelve qutrit vertices (the eigenvectors of the four mutually
+unbiased bases) and the six octahedron vertices of the qubit. Both are
+cached per dimension, with read-only arrays, and built on first use.
 
 Distances are minimum trace distances to the convex hull of a vertex list,
 min over simplex weights w of (1/2)||rho - sum_i w_i v_i||_1. The solver is
@@ -29,13 +30,13 @@ eigenvalue crossings where the optimum sits.)
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .linalg import validate_density_matrix
 from .phasespace import _is_prime, clock_matrix, shift_matrix
-
-DEDUP_TOL = 1e-8
 
 GENERATOR_NAMES = ("X", "Z", "F", "S")
 
@@ -62,21 +63,43 @@ def clifford_generators(d):
     return [shift_matrix(d), clock_matrix(d), f, s]
 
 
-def _canonical_phase(ket):
-    """Rotate the global phase so the first significant entry is real positive."""
-    idx = np.argmax(np.abs(ket) > 1e-9)
-    return ket * np.exp(-1j * np.angle(ket[idx]))
+def _phase_key(u, decimals=8):
+    """Hashable canonical form of an array modulo global phase."""
+    flat = u.reshape(-1)
+    idx = np.argmax(np.abs(flat) > 1e-9)
+    v = u * np.exp(-1j * np.angle(flat[idx]))
+    parts = np.round(np.stack([v.real, v.imag]), decimals) + 0.0  # +0.0 folds -0.0
+    return parts.tobytes()
 
 
-def _pure_trace_distance(ket_a, ket_b):
-    """Trace distance of the rank-1 projectors, sqrt(1 - |<a|b>|^2).
+@dataclass(frozen=True)
+class CliffordGroup:
+    """Single-qudit Clifford unitaries modulo global phase, in BFS order."""
+    unitaries: np.ndarray  # (n, d, d)
+    words: tuple           # generator word of each element, "" for the identity
+    index: MappingProxyType  # phase key -> position
 
-    Computed as the norm of the component of b orthogonal to a, which stays
-    accurate near zero (the direct sqrt form amplifies machine noise to
-    ~sqrt(eps) and would put exact duplicates above the dedup threshold).
-    """
-    residual = ket_b - np.vdot(ket_a, ket_b) * ket_a
-    return float(np.linalg.norm(residual))
+
+@lru_cache(maxsize=None)
+def clifford_group(d):
+    """Breadth-first closure of X, Z, F, S (in that order) modulo global phase,
+    for d in {2, 3}; cached per dimension, with a read-only unitary stack."""
+    if d not in (2, 3):
+        raise ValueError(f"Clifford enumeration supports d in {{2, 3}}, got {d}")
+    gens = clifford_generators(d)
+    group, words = [np.eye(d, dtype=complex)], [""]
+    index = {_phase_key(group[0]): 0}
+    for i, u in enumerate(group):  # the list is the BFS queue: it grows while walked
+        for name, g in zip(GENERATOR_NAMES, gens):
+            v = g @ u
+            key = _phase_key(v)
+            if key not in index:
+                index[key] = len(group)
+                group.append(v)
+                words.append(name + words[i])
+    unitaries = np.array(group)
+    unitaries.setflags(write=False)
+    return CliffordGroup(unitaries=unitaries, words=tuple(words), index=MappingProxyType(index))
 
 
 @dataclass(frozen=True)
@@ -92,39 +115,23 @@ class StabilizerVertexSet:
 
 
 def stabilizer_pure_states(d):
-    """Breadth-first Clifford-orbit closure of |0><0|, deduplicated.
-
-    Supported for d in {2, 3}; BFS order (generator order X, Z, F, S) is
-    deterministic, so vertex indices are stable across runs. The set is
-    cached per dimension and its arrays are read-only.
-    """
-    if d not in (2, 3):
-        raise ValueError(f"vertex enumeration supports d in {{2, 3}}, got {d}")
+    """The Clifford orbit of |0><0| for d in {2, 3}: the first column of each
+    group element, in group order (so vertex indices are stable), deduplicated
+    modulo phase. Cached per dimension, with read-only arrays."""
     if d in _vertex_cache:
         return _vertex_cache[d]
-    gens = clifford_generators(d)
-    start = np.zeros(d, dtype=complex)
-    start[0] = 1.0
-    kets = [start]
-    words = ["|0>"]
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for idx in frontier:
-            for name, g in zip(GENERATOR_NAMES, gens):
-                candidate = g @ kets[idx]
-                candidate = _canonical_phase(candidate / np.linalg.norm(candidate))
-                if all(_pure_trace_distance(candidate, k) > DEDUP_TOL for k in kets):
-                    kets.append(candidate)
-                    words.append(name + words[idx])
-                    next_frontier.append(len(kets) - 1)
-        frontier = next_frontier
-    kets = np.array(kets)
+    group = clifford_group(d)
+    keys = [_phase_key(u[:, 0]) for u in group.unitaries]
+    picked = [keys.index(key) for key in dict.fromkeys(keys)]  # first element reaching each ket
+    kets = group.unitaries[picked, :, 0]
+    # rotate each ket so its first significant entry is real positive
+    lead = kets[np.arange(len(kets)), np.argmax(np.abs(kets) > 1e-9, axis=1)]
+    kets = kets * np.exp(-1j * np.angle(lead))[:, None]
     projectors = np.einsum("ni,nj->nij", kets, kets.conj())
     kets.setflags(write=False)
     projectors.setflags(write=False)
     _vertex_cache[d] = StabilizerVertexSet(dim=d, kets=kets, projectors=projectors,
-                                           words=tuple(words))
+                                           words=tuple(group.words[i] + "|0>" for i in picked))
     return _vertex_cache[d]
 
 
@@ -300,7 +307,11 @@ def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, r
 def polytope_distance(rho, vertex_set, tol=1e-9, max_iter=5000):
     """Minimum trace distance from rho to the convex hull of a vertex set,
     with its certified lower bound."""
-    rho = validate_density_matrix(rho)
+    return _polytope_result(validate_density_matrix(rho), vertex_set, tol, max_iter)
+
+
+def _polytope_result(rho, vertex_set, tol=1e-9, max_iter=5000):
+    """:func:`polytope_distance` of an already validated rho."""
     verts = vertex_set.projectors if isinstance(vertex_set, StabilizerVertexSet) else np.asarray(vertex_set)
     if verts.shape[1] != rho.shape[0]:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]}, vertices {verts.shape[1]}")
@@ -318,4 +329,4 @@ def in_polytope(rho, vertex_set, tol=1e-7):
 def incoherent_distance(rho, tol=1e-9, max_iter=5000):
     """Minimum trace distance to the diagonal (incoherent) states."""
     rho = validate_density_matrix(rho)
-    return polytope_distance(rho, basis_projectors(rho.shape[0]), tol=tol, max_iter=max_iter).distance
+    return _polytope_result(rho, basis_projectors(rho.shape[0]), tol, max_iter).distance

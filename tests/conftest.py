@@ -36,6 +36,18 @@ def random_qutrit_batch(n, seed):
     return np.stack(out)
 
 
+def kraus_images_loop(kraus, rho):
+    """K_i rho K_i^dag for each Kraus matrix, one at a time (list of (d, d))."""
+    return [k @ rho @ k.conj().T for k in kraus]
+
+
+def pure_trace_distance(ket_a, ket_b):
+    """Trace distance of the rank-1 projectors, sqrt(1 - |<a|b>|^2), computed
+    as the norm of the component of b orthogonal to a (stays accurate near 0)."""
+    residual = ket_b - np.vdot(ket_a, ket_b) * ket_a
+    return float(np.linalg.norm(residual))
+
+
 def project_simplex(v):
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0

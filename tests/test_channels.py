@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from magiclab import channels as ch, linalg, monotones as mo, stabilizer as st
+from magiclab import channels as ch, linalg, monotones as mo, phasespace as ps, stabilizer as st
+from conftest import kraus_images_loop
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -35,6 +36,42 @@ def test_sampled_incoherent_channel_deterministic():
     b = ch.sample_incoherent_channel(3, 4, seed=7)
     for ka, kb in zip(a.kraus, b.kraus):
         assert np.array_equal(ka, kb)
+
+
+def test_incoherent_kraus_stack_is_padded_and_complete():
+    counts = np.arange(1, 10)
+    kraus = ch._incoherent_kraus(counts, 3, np.random.default_rng(66))
+    assert kraus.shape == (9, 9, 3, 3)
+    for k, stack in zip(counts, kraus):
+        total = np.einsum("kai,kaj->ij", stack.conj(), stack)
+        assert np.max(np.abs(total - np.eye(3))) < 1e-10
+        assert ch.is_incoherent(ch.KrausChannel(kraus=stack[:k]))
+        assert np.count_nonzero(stack[k:]) == 0
+
+
+def test_haar_kraus_stack_is_padded_and_complete():
+    counts = np.array([1, 4, 2, 9, 3])
+    kraus = ch._haar_kraus(counts, 3, np.random.default_rng(67))
+    assert kraus.shape == (5, 9, 3, 3)
+    for k, stack in zip(counts, kraus):
+        total = np.einsum("kai,kaj->ij", stack.conj(), stack)
+        assert np.max(np.abs(total - np.eye(3))) < 1e-10
+        assert np.count_nonzero(stack[k:]) == 0
+
+
+def test_images_match_kraus_loop():
+    rng = np.random.default_rng(68)
+    kraus = ch._incoherent_kraus(rng.integers(1, 10, size=7), 3, rng)
+    rhos = np.stack([linalg.random_mixed(3, seed=rng) for _ in range(7)])
+    got = ch._images(kraus, rhos)
+    for k_stack, rho, images in zip(kraus, rhos, got):
+        assert np.max(np.abs(images - np.array(kraus_images_loop(k_stack, rho)))) < 1e-15
+    # one channel against a stack of states broadcasts to (state, element)
+    lam = ch.sample_channel(3, 4, rng)
+    got = ch._images(lam.kraus, rhos)
+    assert got.shape == (7, 4, 3, 3)
+    for rho, images in zip(rhos, got):
+        assert np.max(np.abs(images - np.array(kraus_images_loop(lam.kraus, rho)))) < 1e-15
 
 
 def test_sample_incoherent_rejects_no_kraus():
@@ -98,13 +135,13 @@ def test_is_incoherent_classifier():
 def test_incoherent_clifford_unitaries_membership():
     x, z, f, _ = st.clifford_generators(3)
     monos = ch.incoherent_clifford_unitaries(3)
-    keys = {ch._phase_key(u) for u in monos}
-    assert ch._phase_key(x) in keys
-    assert ch._phase_key(z) in keys
-    assert ch._phase_key(f) not in keys
+    keys = {st._phase_key(u) for u in monos}
+    assert st._phase_key(x) in keys
+    assert st._phase_key(z) in keys
+    assert st._phase_key(f) not in keys
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    keys2 = {ch._phase_key(u) for u in ch.incoherent_clifford_unitaries(2)}
-    assert ch._phase_key(sx) in keys2
+    keys2 = {st._phase_key(u) for u in ch.incoherent_clifford_unitaries(2)}
+    assert st._phase_key(sx) in keys2
 
 
 def test_incoherent_clifford_unitaries_counts_vs_oracle():
@@ -180,6 +217,50 @@ def test_classify_flags_non_preserving_unitary(qutrit_vertices):
     assert not flags.incoherent and not flags.genuinely_stabilizer
     with pytest.raises(ValueError):
         ch.classify(ch.identity_channel(2), qutrit_vertices)
+
+
+def test_classify_flags_non_clifford_phase_gate(qutrit_vertices):
+    # monomial but not Clifford; it moves the vertex F|0> out of the polytope
+    u = np.diag([1.0, np.exp(0.3j), 1.0])
+    flags = ch.classify(ch.unitary_channel(u), qutrit_vertices)
+    assert flags.incoherent
+    assert not flags.incoherent_clifford_unitary
+    assert not flags.stabilizer_preserving
+    assert not flags.genuinely_stabilizer
+    image = u @ qutrit_vertices.projectors[2] @ u.conj().T
+    assert st.polytope_distance(image, qutrit_vertices).lower > 0.1
+
+
+def test_classify_clifford_flag_is_group_membership(qutrit_vertices):
+    for u in ch.incoherent_clifford_unitaries(3)[::9]:
+        flags = ch.classify(ch.unitary_channel(u), qutrit_vertices, n_probe=2)
+        assert flags.incoherent_clifford_unitary and flags.stabilizer_preserving
+
+
+AUDITS_AND_CW = dict(ch.AUDIT_SUITES, cw_contractivity=ch.cw_contractivity_audit)
+
+
+@pytest.mark.parametrize("audit", sorted(AUDITS_AND_CW))
+def test_audit_work_does_not_scale_with_trials(monkeypatch, audit):
+    # every trial runs in the same batch calls, so call counts do not grow with n_trials
+    counts = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    validate = counting("validate", linalg.validate_density_matrix)
+    for module in (linalg, ps, st, mo, ch):
+        monkeypatch.setattr(module, "validate_density_matrix", validate)
+    monkeypatch.setattr(ch, "_images", counting("images", ch._images))
+    seen = []
+    for n_trials in (10, 40):
+        counts.update(validate=0, images=0)
+        AUDITS_AND_CW[audit](n_trials=n_trials, seed=3)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
 
 
 def test_result1_audit_small():

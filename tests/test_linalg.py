@@ -111,6 +111,26 @@ def test_tensor_trace_and_mixed():
     assert np.allclose(mm, linalg.maximally_mixed(6), atol=1e-14)
 
 
+def test_tensor_batches_match_kron():
+    rng = np.random.default_rng(5)
+    a = np.stack([linalg.random_mixed(3, seed=rng) for _ in range(4)])
+    b = np.stack([linalg.random_mixed(2, seed=rng) for _ in range(4)])
+    got = linalg.tensor(a, b)
+    assert got.shape == (4, 6, 6)
+    for x, y, z in zip(a, b, got):
+        assert np.array_equal(z, np.kron(x, y))
+    # a single factor broadcasts against a stack
+    assert np.array_equal(linalg.tensor(a, b[0])[2], np.kron(a[2], b[0]))
+
+
+def test_batch_samplers_give_density_matrices():
+    rng = np.random.default_rng(6)
+    for rhos, rank in ((linalg.ginibre_dm_batch(20, 3, 2, rng), 2), (linalg.haar_pure_batch(20, 4, rng), 1)):
+        for rho in rhos:
+            linalg.validate_density_matrix(rho)
+            assert np.sum(np.linalg.eigvalsh(rho) > 1e-12) == rank
+
+
 def test_tensor_partial_trace_roundtrip():
     rng = np.random.default_rng(2)
     for _ in range(10):

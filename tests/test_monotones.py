@@ -240,7 +240,27 @@ def test_all_monotones_match_the_single_functions(named_states):
     assert values["l2_coherence"] == mo.lp_coherence(rho, 2)
 
 
-def test_all_monotones_validates_once_and_builds_one_grid(monkeypatch, named_states):
+def test_batch_coherence_kernels_match_single_state_forms():
+    rhos = random_qutrit_batch(40, seed=57)
+    joint = linalg.tensor(rhos[:20], rhos[20:])  # 9 x 9 stacks, as in the lp audit
+    for batch in (rhos, joint):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert mo.lp_coherence_batch(batch, p).tolist() == [mo.lp_coherence(r, p) for r in batch]
+        # l2 as computed before the batch kernel, diagonal subtracted: unchanged bit for bit
+        old = [float(np.sum(np.abs(r - np.diag(np.diag(r))) ** 2) ** 0.5) for r in batch]
+        assert mo.lp_coherence_batch(batch, 2).tolist() == old
+    grids = ps.wigner_batch(rhos, 3)
+    values, lams = mo.cw_coherence_grid(grids)
+    single = [mo.cw_coherence_grid(w) for w in grids]
+    assert values.tolist() == [float(v) for v, _ in single]
+    assert lams.tolist() == [float(lam) for _, lam in single]
+    full = mo.cw_coherence(rhos[0], full=True)
+    assert (full.value, full.lam) == tuple(float(x) for x in mo.cw_coherence_grid(ps.wigner(rhos[0])))
+
+
+@pytest.mark.parametrize("entry, grids", [("all_monotones", 1), ("distance_magic", 0),
+                                          ("incoherent_distance", 0)])
+def test_all_monotones_validates_once_and_builds_one_grid(monkeypatch, named_states, entry, grids):
     calls = {"validate": 0, "wigner_batch": 0}
 
     def counting(name, fn):
@@ -255,5 +275,6 @@ def test_all_monotones_validates_once_and_builds_one_grid(monkeypatch, named_sta
         monkeypatch.setattr(module, "validate_density_matrix", validate)
     for module in (mo, ps):
         monkeypatch.setattr(module, "wigner_batch", grid)
-    mo.all_monotones(named_states["strange"])
-    assert calls == {"validate": 1, "wigner_batch": 1}
+    fn = st.incoherent_distance if entry == "incoherent_distance" else getattr(mo, entry)
+    fn(named_states["strange"])
+    assert calls == {"validate": 1, "wigner_batch": grids}

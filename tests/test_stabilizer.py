@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from magiclab import linalg, phasespace as ps, stabilizer as st
-from conftest import random_qutrit_batch, slsqp_polytope_oracle
+from conftest import pure_trace_distance, random_qutrit_batch, slsqp_polytope_oracle
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -55,7 +55,7 @@ def test_orbit_closure(qutrit_vertices, qubit_vertices):
             for g in gens:
                 img = g @ ket
                 img /= np.linalg.norm(img)
-                dmin = min(st._pure_trace_distance(img, k) for k in vset.kets)
+                dmin = min(pure_trace_distance(img, k) for k in vset.kets)
                 assert dmin < 1e-8
 
 
@@ -69,7 +69,7 @@ def test_vertices_match_mub_construction(qutrit_vertices):
             expected.append(vec)
     assert len(expected) == len(qutrit_vertices)
     for vec in expected:
-        dmin = min(st._pure_trace_distance(vec, ket) for ket in qutrit_vertices.kets)
+        dmin = min(pure_trace_distance(vec, ket) for ket in qutrit_vertices.kets)
         assert dmin < 1e-10
 
 
@@ -77,6 +77,44 @@ def test_vertices_have_zero_sum_negativity(qutrit_vertices):
     for proj in qutrit_vertices.projectors:
         msn = np.abs(ps.wigner(proj)).sum() - 1
         assert msn < 1e-10
+
+
+def test_vertex_words_pinned(qubit_vertices, qutrit_vertices):
+    # vertex indices are part of the interface: pin the order and provenance
+    assert qubit_vertices.words == ("|0>", "X|0>", "F|0>", "FX|0>", "SF|0>", "SFX|0>")
+    assert qutrit_vertices.words == ("|0>", "X|0>", "F|0>", "XX|0>", "FX|0>", "SF|0>", "FXX|0>",
+                                     "SFX|0>", "XSF|0>", "FSF|0>", "FSFX|0>", "SSFX|0>")
+
+
+def test_vertex_words_reproduce_kets(qubit_vertices, qutrit_vertices):
+    for vset in (qubit_vertices, qutrit_vertices):
+        gens = dict(zip(st.GENERATOR_NAMES, st.clifford_generators(vset.dim)))
+        for word, ket in zip(vset.words, vset.kets):
+            img = linalg.basis_ket(vset.dim, 0)
+            for name in reversed(word[:-3]):
+                img = gens[name] @ img
+            assert pure_trace_distance(img, ket) < 1e-12
+            lead = ket[np.argmax(np.abs(ket) > 1e-9)]
+            assert abs(lead.imag) < 1e-15 and lead.real > 0
+
+
+def test_clifford_group_enumeration():
+    for d, size in ((2, 24), (3, 216)):
+        group = st.clifford_group(d)
+        assert st.clifford_group(d) is group
+        assert len(group.unitaries) == len(group.words) == len(group.index) == size
+        with pytest.raises(ValueError):
+            group.unitaries[0, 0, 0] = 0.0
+        gens = dict(zip(st.GENERATOR_NAMES, st.clifford_generators(d)))
+        for i, (u, word) in enumerate(zip(group.unitaries, group.words)):
+            assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
+            assert group.index[st._phase_key(u)] == i
+            prod = np.eye(d, dtype=complex)
+            for name in reversed(word):
+                prod = gens[name] @ prod
+            assert st._phase_key(prod) == st._phase_key(u)
+    with pytest.raises(ValueError):
+        st.clifford_group(5)
 
 
 def test_vertex_set_cached_read_only():
