@@ -258,15 +258,13 @@ def test_batch_coherence_kernels_match_single_state_forms():
     assert (full.value, full.lam) == tuple(float(x) for x in mo.cw_coherence_grid(ps.wigner(rhos[0])))
 
 
-@pytest.mark.parametrize("entry, grids", [("all_monotones", 1), ("distance_magic", 0),
-                                          ("incoherent_distance", 0)])
-def test_all_monotones_validates_once_and_builds_one_grid(monkeypatch, named_states, entry, grids):
+def _count_validations_and_grids(monkeypatch, fn, rho):
     calls = {"validate": 0, "wigner_batch": 0}
 
-    def counting(name, fn):
+    def counting(name, inner):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            return inner(*args, **kwargs)
         return wrapper
 
     validate = counting("validate", linalg.validate_density_matrix)
@@ -275,6 +273,17 @@ def test_all_monotones_validates_once_and_builds_one_grid(monkeypatch, named_sta
         monkeypatch.setattr(module, "validate_density_matrix", validate)
     for module in (mo, ps):
         monkeypatch.setattr(module, "wigner_batch", grid)
-    fn = st.incoherent_distance if entry == "incoherent_distance" else getattr(mo, entry)
-    fn(named_states["strange"])
-    assert calls == {"validate": 1, "wigner_batch": grids}
+    fn(rho)
+    return calls
+
+
+def test_all_monotones_validates_once_and_builds_one_grid(monkeypatch, named_states):
+    calls = _count_validations_and_grids(monkeypatch, mo.all_monotones, named_states["strange"])
+    assert calls == {"validate": 1, "wigner_batch": 1}
+
+
+@pytest.mark.parametrize("entry", ["distance_magic", "incoherent_distance"])
+def test_distances_validate_once(monkeypatch, named_states, entry):
+    fn = st.incoherent_distance if entry == "incoherent_distance" else mo.distance_magic
+    calls = _count_validations_and_grids(monkeypatch, fn, named_states["strange"])
+    assert calls == {"validate": 1, "wigner_batch": 0}
