@@ -48,7 +48,10 @@ class ExperimentConfig:
     p_step: float = 0.01
     tolerance: float = 1e-9
     outdir: str = "results"
-    rank: int = 0            # 0 = full rank for mixed sampling
+    # Ginibre rank of the mixed samples (0 = full: 3 for the qutrit scatter,
+    # 6 for the qutrit-qubit one); a rank above d draws full-rank states from
+    # the induced measure with a rank-dimensional environment, more mixed as it grows
+    rank: int = 0
     result1_trials: int = 10_000
     lp_trials: int = 1_000
     selective_trials: int = 1_000
@@ -57,12 +60,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0.0 <= self.p_start < self.p_stop <= 1.0):
             raise ValueError(f"p grid must sit inside [0, 1], got [{self.p_start}, {self.p_stop}]")
-        if self.p_step <= 0:
-            raise ValueError("p_step must be positive")
+        if not 0.0 < self.p_step < np.inf:
+            raise ValueError(f"p_step must be positive and finite, got {self.p_step}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if self.rank < 0:
+            raise ValueError(f"rank must be >= 0, got {self.rank}")
         for name in ("result1_trials", "lp_trials", "selective_trials", "gso_trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -22,8 +22,13 @@ Hermitian X with ||X||_inf <= 1/2 gives
 for every sigma in the hull. The solver tries two such X: the ADMM dual,
 negated and clipped to that ball, and the sign pattern of the residual
 rho - sum_i w_i v_i with its near-kernel direction tuned; each state stops
-once upper - lower <= tol. The same minimizer over the computational-basis
-projectors gives the distance to the incoherent states. (A plain Frank-Wolfe
+once upper - lower <= tol. A caller that asks a question of the distances
+rather than their values can also stop a state as soon as its bracket
+answers it: the solver is a generator that yields the brackets at each
+update and takes back the states the caller has decided (`in_polytope`,
+and in `channels` the classifier, `estimate_cm` and the result1 audit).
+The same minimizer over the computational-basis projectors gives the
+distance to the incoherent states. (A plain Frank-Wolfe
 scheme with exact line search stalls here: the steepest-descent vertex
 computed from a subgradient need not be a descent direction at the
 eigenvalue crossings where the optimum sits.)
@@ -220,24 +225,13 @@ def _residual_bracket(rhos, delta, vdual):
     return 0.5 * np.sum(np.abs(lam), axis=1), lower
 
 
-def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, relax=1.6):
-    """min_w (1/2)||rho - sum_i w_i v_i||_1 over the simplex, for a state stack,
-    bracketed by a dual lower bound.
+def _admm(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, relax=1.6):
+    """The solver of :func:`polytope_distance_batch` as a generator.
 
-    Over-relaxed ADMM on the split M = rho - Vw: the M update soft-thresholds
-    eigenvalues at 1/(2 tau), the w update takes `inner` warm-started FISTA
-    steps on the quadratic simplex subproblem, and the dual Y tracks the
-    constraint. Every 10 sweeps each state gets the upper bound at its
-    feasible weights and a lower bound from two dual witnesses: -Y clipped to
-    the dual ball, and the sign pattern of the residual rho - Vw (kept as a
-    running max, from 0 since distances are nonnegative); the per-state
-    penalty tau grows when the split residual lags. A state stops when
-    upper - lower <= tol.
-
-    Returns (bounds, weights, iterations, certified): `bounds` is (n, 2) with
-    columns [lower, upper], the upper bound evaluated at `weights`, and
-    `certified` marks the states whose gap closed to within `tol` before
-    `max_iter`.
+    After each bracket update it yields the (n, 2) [lower, upper] array,
+    which it keeps updating in place, and accepts an optional boolean mask
+    over the states: the states the caller has decided stop there, without
+    being certified. It returns (bounds, weights, iterations, certified).
     """
     rhos = np.asarray(rhos, dtype=complex)
     verts = np.asarray(vertices, dtype=complex)
@@ -300,8 +294,60 @@ def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, r
             done = upper - lower <= tol
             certified[np.compress(done, active)] = True
             active = np.compress(~done, active)
+            decided = yield bounds
+            if decided is not None:
+                active = active[~decided[active]]
 
     return bounds, w, iters, certified
+
+
+def _solve_until_decided(solvers, decide):
+    """Drive `_admm` generators over the same n states in lockstep. After
+    every bracket update, decide(*bounds) gives a boolean mask of the states
+    whose question is answered, and those stop in every solver. Returns each
+    solver's (bounds, weights, iterations, certified)."""
+    bounds = [None] * len(solvers)
+    results = [None] * len(solvers)
+    decided = None
+    while True:
+        for k, solver in enumerate(solvers):
+            if results[k] is None:
+                try:
+                    bounds[k] = solver.send(decided)
+                except StopIteration as stop:
+                    results[k] = stop.value
+        if all(r is not None for r in results):
+            return results
+        decided = decide(*bounds)
+
+
+def _decided_bounds(rhos, vertices, decide):
+    """The [lower, upper] brackets of one batch solve in which each state
+    stops once decide(bounds) marks it (or once certified)."""
+    return _solve_until_decided([_admm(rhos, vertices)], decide)[0][0]
+
+
+def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, relax=1.6):
+    """min_w (1/2)||rho - sum_i w_i v_i||_1 over the simplex, for a state stack,
+    bracketed by a dual lower bound.
+
+    Over-relaxed ADMM on the split M = rho - Vw: the M update soft-thresholds
+    eigenvalues at 1/(2 tau), the w update takes `inner` warm-started FISTA
+    steps on the quadratic simplex subproblem, and the dual Y tracks the
+    constraint. Every 10 sweeps each state gets the upper bound at its
+    feasible weights and a lower bound from two dual witnesses: -Y clipped to
+    the dual ball, and the sign pattern of the residual rho - Vw (kept as a
+    running max, from 0 since distances are nonnegative); the per-state
+    penalty tau grows when the split residual lags. A state stops when
+    upper - lower <= tol.
+
+    Returns (bounds, weights, iterations, certified): `bounds` is (n, 2) with
+    columns [lower, upper], the upper bound evaluated at `weights`, and
+    `certified` marks the states whose gap closed to within `tol` before
+    `max_iter`.
+    """
+    solver = _admm(rhos, vertices, tol=tol, max_iter=max_iter, inner=inner, relax=relax)
+    return _solve_until_decided([solver], lambda bounds: None)[0]
 
 
 def polytope_distance(rho, vertex_set, tol=1e-9, max_iter=5000):
@@ -310,11 +356,18 @@ def polytope_distance(rho, vertex_set, tol=1e-9, max_iter=5000):
     return _polytope_result(validate_density_matrix(rho), vertex_set, tol, max_iter)
 
 
+def _vertices(vertex_set, d):
+    """The projector stack of a vertex set (or of a plain vertex list), checked
+    against the state dimension d."""
+    verts = vertex_set.projectors if isinstance(vertex_set, StabilizerVertexSet) else np.asarray(vertex_set)
+    if verts.shape[1] != d:
+        raise ValueError(f"dimension mismatch: state {d}, vertices {verts.shape[1]}")
+    return verts
+
+
 def _polytope_result(rho, vertex_set, tol=1e-9, max_iter=5000):
     """:func:`polytope_distance` of an already validated rho."""
-    verts = vertex_set.projectors if isinstance(vertex_set, StabilizerVertexSet) else np.asarray(vertex_set)
-    if verts.shape[1] != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: state {rho.shape[0]}, vertices {verts.shape[1]}")
+    verts = _vertices(vertex_set, rho.shape[0])
     bounds, w, iters, certified = polytope_distance_batch(rho[None], verts, tol=tol, max_iter=max_iter)
     lower, upper = bounds[0]
     return PolytopeResult(distance=float(upper), lower=float(lower), gap=float(upper - lower),
@@ -322,8 +375,18 @@ def _polytope_result(rho, vertex_set, tol=1e-9, max_iter=5000):
 
 
 def in_polytope(rho, vertex_set, tol=1e-7):
-    """True iff the minimum trace distance to the polytope is at most tol."""
-    return polytope_distance(rho, vertex_set).distance <= tol
+    """Whether the minimum trace distance to the polytope is at most tol, read
+    off the certified bracket: True once the upper bound is <= tol, False once
+    the lower bound exceeds it, and None (undecided) if the final bracket
+    still straddles tol. The solve stops as soon as one of the first two holds."""
+    rho = validate_density_matrix(rho)
+    verts = _vertices(vertex_set, rho.shape[0])
+    lower, upper = _decided_bounds(rho[None], verts, lambda b: (b[:, 1] <= tol) | (b[:, 0] > tol))[0]
+    if upper <= tol:
+        return True
+    if lower > tol:
+        return False
+    return None
 
 
 def incoherent_distance(rho, tol=1e-9, max_iter=5000):

@@ -151,3 +151,17 @@ def cw_lp_oracle(rho):
     if res.status != 0:
         raise RuntimeError(f"linprog failed: {res.message}")
     return res.fun
+
+
+def result1_oracle(n_trials, seed, tol):
+    """result1's worst margin and violation count from two full certified
+    solves of its pairs (magic of every image, coherence of every state),
+    with no pruning."""
+    from magiclab import channels
+
+    rhos, images = channels._result1_pairs(n_trials, np.random.default_rng(seed))
+    magic, _, _, _ = stabilizer.polytope_distance_batch(
+        images, stabilizer.stabilizer_pure_states(3).projectors)
+    coh, _, _, _ = stabilizer.polytope_distance_batch(rhos, stabilizer.basis_projectors(3))
+    margins = magic[:, 1] - coh[:, 0]
+    return float(np.max(margins)), int(np.sum(margins > tol))

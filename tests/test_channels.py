@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magiclab import channels as ch, linalg, monotones as mo, phasespace as ps, stabilizer as st
-from conftest import kraus_images_loop
+from conftest import kraus_images_loop, result1_oracle
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -267,7 +267,34 @@ def test_result1_audit_small():
     report = ch.result1_audit(n_trials=400, seed=1)
     assert report.passed
     assert report.worst_margin <= 1e-8
-    assert report.details["uncertified"] == 0
+    assert report.details["undecided"] == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("tol", [1e-8, -0.3])
+def test_result1_branch_and_bound_matches_full_solves(seed, tol):
+    # a negative tol makes many pairs violations, so the count is exercised too
+    report = ch.result1_audit(n_trials=120, seed=seed, tol=tol)
+    worst, violations = result1_oracle(120, seed, tol)
+    assert abs(report.worst_margin - worst) <= 2e-9
+    assert report.details["violations"] == violations
+    assert report.details["undecided"] == 0
+    assert report.passed == (violations == 0)
+    if tol < 0:
+        assert 0 < violations < 120
+
+
+@pytest.mark.parametrize("u", [np.eye(3), np.diag([1.0, np.exp(0.3j), 1.0]),
+                               ch.sample_channel(3, 1, seed=5).kraus[0]])
+def test_classify_early_stop_matches_full_solve(qutrit_vertices, u):
+    # the full-solve rule: preserving iff every probe image's upper bound <= tol
+    tol, n_probe = 1e-7, 10
+    verts = qutrit_vertices.projectors
+    weights = np.random.default_rng(0).dirichlet(np.ones(len(verts)), size=n_probe)
+    probes = np.concatenate([verts, np.einsum("nm,mij->nij", weights, verts)])
+    bounds, _, _, _ = st.polytope_distance_batch(u @ probes @ u.conj().T, verts)
+    flags = ch.classify(ch.unitary_channel(u), qutrit_vertices, seed=0, n_probe=n_probe, tol=tol)
+    assert flags.stabilizer_preserving == bool(np.all(bounds[:, 1] <= tol))
 
 
 @pytest.mark.parametrize("audit", sorted(ch.AUDIT_SUITES))

@@ -107,6 +107,23 @@ def test_run_all_rejects_zero_trials_in_config(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "inf"]])
+def test_run_all_rejects_non_finite_tolerance(tmp_path, flags):
+    res = run_cli("run-all", *flags, "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "tolerance" in res.stderr
+    assert res.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_all_rejects_negative_rank(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("rank=-1\n")
+    res = run_cli("run-all", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "rank" in res.stderr
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep.csv"
     res = run_cli("sweep", "--out", str(out))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,24 @@ def test_config_validation():
     for key in ("result1_trials", "lp_trials", "selective_trials", "gso_trials"):
         with pytest.raises(ValueError, match=key):
             ex.ExperimentConfig(**{key: 0})
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            ex.ExperimentConfig(tolerance=value)
+        with pytest.raises(ValueError, match="p_step"):
+            ex.ExperimentConfig(p_step=value)
+    with pytest.raises(ValueError, match="rank"):
+        ex.ExperimentConfig(rank=-1)
+    assert ex.ExperimentConfig(rank=7).rank == 7  # induced measure, documented
+
+
+def test_rank_above_dimension_samples_full_rank_states():
+    # the documented meaning of rank > 3 for the qutrit scatter's mixed samples
+    rng = np.random.default_rng(12)
+    low, high = linalg.ginibre_dm_batch(50, 3, 2, rng), linalg.ginibre_dm_batch(50, 3, 7, rng)
+    assert np.all(np.linalg.eigvalsh(low)[:, 0] < 1e-12)
+    assert np.all(np.linalg.eigvalsh(high)[:, 0] > 1e-6)
+    data = ex.coherence_magic_scatter(ex.ExperimentConfig(samples=200, rank=7))
+    assert sum(row[0] == "mixed" for row in data.rows) == 20
 
 
 def test_config_from_file(tmp_path):
@@ -159,6 +179,21 @@ def test_run_all_passes_and_is_deterministic(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b
+
+
+def test_run_all_sweep_and_scatter_bytes_pinned(tmp_path):
+    # SHA-256 of the small-config run's sweep and scatter CSVs; they draw no
+    # solver output, so no change to the polytope solver may move them.
+    # audits.csv is left out: its result1 worst margin may move in the last
+    # digits when the solver's batches change.
+    ex.run_all(small_cfg(outdir=str(tmp_path)))
+    pinned = {
+        "sweep.csv": "2c26c908e7942f1766d81e0b2aa093a8a874c165877db20ee97ceb96bd7cd1d7",
+        "coherence_scatter.csv": "1d68bbdab3ed6296e08428d159b528862fdfb3eb29ba61ac58e2b45d45ddb3d1",
+        "entanglement_scatter.csv": "c9bc870799cd568fbe0a026493d958a16232108c00b9f4d508b35a4cbc3a7e89",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_all_negative_control(tmp_path):

@@ -124,6 +124,25 @@ def test_cw_closed_form_matches_lp_oracle(d):
         assert abs(mo.cw_coherence(rho) - cw_lp_oracle(rho)) <= 1e-12
 
 
+def test_cw_rises_along_a_diagonal_phase_orbit():
+    # no random stream: the uniform superposition and the reversible
+    # incoherent phase gate diag(1, e^{i pi/3}, 1) of the demos/05 orbit.
+    # l1 coherence is 2 at both ends, yet C_w rises from 1/3 to 5/9, so C_w
+    # is no monotone under incoherent operations.
+    psi = np.ones(3, dtype=complex) / np.sqrt(3)
+    u = np.diag([1.0, np.exp(1j * np.pi / 3), 1.0])
+    before = linalg.dm_from_pure(psi)
+    after = linalg.dm_from_pure(u @ psi)
+    values = []
+    for rho in (before, after):
+        value = mo.cw_coherence(rho)
+        assert abs(value - cw_lp_oracle(rho)) <= 1e-12
+        assert abs(mo.l1_coherence(rho) - 2.0) <= 1e-12
+        values.append(value)
+    assert values[1] - values[0] > 0.2
+    assert abs(values[0] - 1 / 3) <= 1e-12 and abs(values[1] - 5 / 9) <= 1e-12
+
+
 def test_cw_full_result_fields(named_states):
     rho = named_states["coherent"]
     res = mo.cw_coherence(rho, full=True)
@@ -211,6 +230,22 @@ def test_estimate_cm_bounds():
         est = channels.estimate_cm(rho, 30, seed=rng)
         assert est >= mo.distance_magic(rho) - 1e-9
         assert est <= mo.distance_coherence(rho) + 1e-9
+
+
+def test_estimate_cm_matches_full_solve():
+    # dropping images whose upper bound is below the best lower bound keeps
+    # the maximum lower bound of a full solve, up to the solver's gap
+    rng = np.random.default_rng(56)
+    for _ in range(3):
+        rho = linalg.random_mixed(3, seed=rng)
+        seed = int(rng.integers(2 ** 32))
+        est = channels.estimate_cm(rho, 40, seed=seed)
+        draws = np.random.default_rng(seed)
+        counts = draws.integers(1, 10, size=40)
+        images = np.concatenate([rho[None], channels._images(channels.incoherent_clifford_unitaries(3), rho),
+                                 channels._images(channels._incoherent_kraus(counts, 3, draws), rho).sum(axis=1)])
+        bounds, _, _, _ = st.polytope_distance_batch(images, st.stabilizer_pure_states(3).projectors)
+        assert abs(est - np.max(bounds[:, 0])) <= 1e-9
 
 
 def test_estimate_cm_is_a_certified_lower_bound():

@@ -247,12 +247,27 @@ def test_polytope_distance_convexity(qutrit_vertices):
 
 def test_in_polytope(qutrit_vertices, named_states):
     for v in qutrit_vertices.projectors:
-        assert st.in_polytope(v, qutrit_vertices)
-    assert not st.in_polytope(named_states["strange"], qutrit_vertices)
+        assert st.in_polytope(v, qutrit_vertices) is True
+    assert st.in_polytope(named_states["strange"], qutrit_vertices) is False
     rng = np.random.default_rng(33)
     for _ in range(10):
         diag = np.diag(rng.dirichlet(np.ones(3))).astype(complex)
-        assert st.in_polytope(diag, qutrit_vertices)
+        assert st.in_polytope(diag, qutrit_vertices) is True
+
+
+def test_in_polytope_undecided_inside_the_bracket(qutrit_vertices):
+    # a tol strictly inside a certified bracket cannot be decided either way
+    bracketed = 0
+    for rho in random_qutrit_batch(6, seed=37):
+        res = st.polytope_distance(rho, qutrit_vertices)
+        assert st.in_polytope(rho, qutrit_vertices, tol=res.distance + 1e-6) is True
+        assert st.in_polytope(rho, qutrit_vertices, tol=res.lower - 1e-6) is False
+        if res.certified and res.gap > 1e-12:
+            bracketed += 1
+            assert st.in_polytope(rho, qutrit_vertices, tol=(res.lower + res.distance) / 2) is None
+    assert bracketed > 0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        st.in_polytope(rho, st.stabilizer_pure_states(2))
 
 
 def test_membership_agrees_with_lp_oracle(qutrit_vertices):
@@ -275,12 +290,12 @@ def test_membership_agrees_with_lp_oracle(qutrit_vertices):
         wts = rng.dirichlet(np.ones(m))
         inside = np.einsum("m,mij->ij", wts, verts)
         assert lp_member(inside)
-        assert st.in_polytope(inside, qutrit_vertices)
+        assert st.in_polytope(inside, qutrit_vertices) is True
         # a member is at distance 0, so no lower bound may certify it outside
         assert st.polytope_distance(inside, qutrit_vertices).lower <= 1e-12
     strange = linalg.dm_from_pure(linalg.strange_state())
     assert not lp_member(strange)
-    assert not st.in_polytope(strange, qutrit_vertices)
+    assert st.in_polytope(strange, qutrit_vertices) is False
     # and the dual bound alone proves the LP's infeasibility verdict
     assert st.polytope_distance(strange, qutrit_vertices).lower > 0.5 - 1e-9
 
