@@ -13,8 +13,7 @@ data = noise_sweep(cfg)
 print(f"{'p':>5} | {'strange+white':>14} {'norrell+white':>14} | "
       f"{'strange+coh':>12} {'norrell+coh':>12}")
 print("-" * 66)
-for row in data.rows:
-    p, sw, nw, sc, nc = row[:5]
+for p, sw, nw, sc, nc in data.table[:, :5]:
     print(f"{p:>5.2f} | {sw:>14.6f} {nw:>14.6f} | {sc:>12.6f} {nc:>12.6f}")
 
 print("-" * 66)

@@ -8,10 +8,8 @@ violation, 2 usage error (argparse's default).
 import argparse
 import sys
 
-import numpy as np
-
 from . import channels, experiments, monotones, stabilizer, stateio
-from .experiments import ExperimentConfig
+from .experiments import ExperimentConfig, _fmt
 from .linalg import dm_from_pure
 from .phasespace import wigner
 
@@ -19,10 +17,6 @@ from .phasespace import wigner
 def _load_dm(path):
     state = stateio.load_state(path)
     return dm_from_pure(state) if state.ndim == 1 else state
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _build_config(args):
@@ -40,9 +34,7 @@ def cmd_wigner(args):
     w = wigner(rho)
     lines = [",".join(_fmt(x) for x in row) for row in w]
     msn = monotones.sum_negativity_grid(w)
-    mana = np.log(1.0 + msn)
-    if args.mana_base:
-        mana /= np.log(args.mana_base)
+    mana = monotones.mana_grid(w, args.mana_base)
     lines.append(f"# sum_negativity={_fmt(msn)} mana={_fmt(mana)}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -91,34 +83,29 @@ def cmd_audit(args):
     return 0 if report.passed else 1
 
 
-def _emit(args, text, default_name):
+# subcommand -> (experiment, default CSV name, summary line, pass rule)
+EXPERIMENTS = {
+    "sweep": (experiments.noise_sweep, "sweep.csv",
+              lambda data: f"max_abs_residual={data.max_abs_residual:.3e}",
+              lambda data, tol: data.max_abs_residual < tol),
+    "scatter-coherence": (experiments.coherence_magic_scatter, "coherence_scatter.csv",
+                          lambda data: f"min_slack_pure={data.min_slack_pure:.6e}",
+                          lambda data, tol: data.min_slack_pure >= -tol),
+    "scatter-entanglement": (experiments.entanglement_magic_scatter, "entanglement_scatter.csv",
+                             lambda data: f"max_lhs={data.max_lhs:.12f}",
+                             lambda data, tol: data.max_lhs <= 4.0 + tol),
+}
+
+
+def cmd_experiment(args):
+    run, default_name, summary, passed = EXPERIMENTS[args.command]
+    cfg = _build_config(args)
+    data = run(cfg)
     out = args.out or default_name
-    experiments.write_csv(out, text)
+    experiments.write_csv(out, data.csv())
     print(f"wrote {out}")
-
-
-def cmd_sweep(args):
-    cfg = _build_config(args)
-    data = experiments.noise_sweep(cfg)
-    _emit(args, data.csv(), "sweep.csv")
-    print(f"max_abs_residual={data.max_abs_residual:.3e}")
-    return 0 if data.max_abs_residual < cfg.tolerance else 1
-
-
-def cmd_scatter_coherence(args):
-    cfg = _build_config(args)
-    data = experiments.coherence_magic_scatter(cfg)
-    _emit(args, data.csv(), "coherence_scatter.csv")
-    print(f"min_slack_pure={data.min_slack_pure:.6e}")
-    return 0 if data.min_slack_pure >= -cfg.tolerance else 1
-
-
-def cmd_scatter_entanglement(args):
-    cfg = _build_config(args)
-    data = experiments.entanglement_magic_scatter(cfg)
-    _emit(args, data.csv(), "entanglement_scatter.csv")
-    print(f"max_lhs={data.max_lhs:.12f}")
-    return 0 if data.max_lhs <= 4.0 + cfg.tolerance else 1
+    print(summary(data))
+    return 0 if passed(data, cfg.tolerance) else 1
 
 
 def cmd_run_all(args):
@@ -159,21 +146,18 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_audit)
 
-    for name, fn, with_samples in (("sweep", cmd_sweep, False),
-                                   ("scatter-coherence", cmd_scatter_coherence, True),
-                                   ("scatter-entanglement", cmd_scatter_entanglement, True),
-                                   ("run-all", cmd_run_all, True)):
+    for name in (*EXPERIMENTS, "run-all"):
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--seed", type=int)
         p.add_argument("--config")
         p.add_argument("--tol", dest="tolerance", type=float)
-        if with_samples:
+        if name != "sweep":
             p.add_argument("--samples", type=int)
         if name == "run-all":
             p.add_argument("--out", dest="outdir")
         else:
             p.add_argument("--out")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_run_all if name == "run-all" else cmd_experiment)
 
     return parser
 

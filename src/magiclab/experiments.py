@@ -8,6 +8,10 @@ produce byte-identical CSV text.
 
 CSV dialect: comma separator, '.' decimal point, 17 significant digits, one
 header line, '#'-prefixed summary trailer lines.
+
+Results hold column arrays, not row lists: a sweep is one (n, 9) table, and a
+scatter is one (n, k) block per sample kind. :func:`csv_text` is the one
+writer of every CSV.
 """
 
 import dataclasses
@@ -102,16 +106,23 @@ class ExperimentConfig:
 
 
 def _fmt(x):
-    if isinstance(x, str):
-        return x
     return format(float(x), ".17g")
 
 
-def csv_text(header, rows, trailer):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    lines.extend(f"# {key}={_fmt(val)}" for key, val in trailer)
-    return "\n".join(lines) + "\n"
+def csv_text(header, blocks, trailer):
+    """CSV text in one pass. `blocks` is a sequence of (label, values) pairs:
+    each row of the (n, k) array `values` becomes one line, led by the label
+    cell unless the label is None. One '%' format line per block formats the
+    whole block at once; '%.17g' gives the same bytes as _fmt."""
+    parts = [",".join(header) + "\n"]
+    for label, values in blocks:
+        values = np.asarray(values, dtype=float)
+        cells = ["%.17g"] * values.shape[1]
+        if label is not None:
+            cells.insert(0, label.replace("%", "%%"))
+        parts.append(((",".join(cells) + "\n") * len(values)) % tuple(values.ravel().tolist()))
+    parts.extend(f"# {key}={_fmt(val)}\n" for key, val in trailer)
+    return "".join(parts)
 
 
 def write_csv(path, text):
@@ -148,14 +159,14 @@ def _detect_kink(p, measured, branch1, branch2):
 
 @dataclass(frozen=True)
 class SweepData:
-    rows: list
+    table: np.ndarray       # (grid points, 9), columns in SWEEP_HEADER order
     max_abs_residual: float
     kinks: dict
 
     def csv(self):
         trailer = [("max_abs_residual", self.max_abs_residual)]
         trailer += [(f"kink_{name}", val) for name, val in self.kinks.items()]
-        return csv_text(SWEEP_HEADER, self.rows, trailer)
+        return csv_text(SWEEP_HEADER, [(None, self.table)], trailer)
 
 
 def noise_sweep(cfg):
@@ -187,8 +198,8 @@ def noise_sweep(cfg):
         if kink is not None:
             kinks[name] = kink
 
-    rows = list(zip(p, *measured, *refs))
-    return SweepData(rows=rows, max_abs_residual=max_resid, kinks=kinks)
+    return SweepData(table=np.column_stack((p, *measured, *refs)),
+                     max_abs_residual=max_resid, kinks=kinks)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +212,12 @@ ENT_HEADER = ("kind", "negativity", "m_sn_reduced", "lhs")
 
 @dataclass(frozen=True)
 class CoherenceScatterData:
-    rows: list
+    blocks: dict            # kind -> (n, 4) array of the COH_HEADER[1:] columns
     min_slack_pure: float
     min_slack_mixed: float
 
     def csv(self):
-        return csv_text(COH_HEADER, self.rows,
+        return csv_text(COH_HEADER, self.blocks.items(),
                         [("min_slack_pure", self.min_slack_pure),
                          ("min_slack_mixed", self.min_slack_mixed)])
 
@@ -222,27 +233,25 @@ def coherence_magic_scatter(cfg):
     pure = haar_pure_batch(n_pure, 3, rng)
     mixed = ginibre_dm_batch(n_mixed, 3, rank, rng)
 
-    rows = []
-    slacks = {}
+    blocks = {}
     for kind, batch in (("pure", pure), ("mixed", mixed)):
         msn = sum_negativity_grid(wigner_batch(batch, 3))
         c1 = l1_coherence_batch(batch)
         bound = (c1 / 2) * np.sqrt(np.clip(1.0 - c1 / 2, 0.0, None))
-        slack = msn - bound
-        slacks[kind] = float(np.min(slack))
-        rows.extend(zip([kind] * len(batch), c1, msn, bound, slack))
-    return CoherenceScatterData(rows=rows, min_slack_pure=slacks["pure"],
+        blocks[kind] = np.column_stack((c1, msn, bound, msn - bound))
+    slacks = {kind: float(np.min(block[:, 3])) for kind, block in blocks.items()}
+    return CoherenceScatterData(blocks=blocks, min_slack_pure=slacks["pure"],
                                 min_slack_mixed=slacks["mixed"])
 
 
 @dataclass(frozen=True)
 class EntanglementScatterData:
-    rows: list
+    blocks: dict            # kind -> (n, 3) array of the ENT_HEADER[1:] columns
     max_lhs: float
     max_lhs_pure: float
 
     def csv(self):
-        return csv_text(ENT_HEADER, self.rows,
+        return csv_text(ENT_HEADER, self.blocks.items(),
                         [("max_lhs", self.max_lhs), ("max_lhs_pure", self.max_lhs_pure)])
 
 
@@ -257,16 +266,14 @@ def entanglement_magic_scatter(cfg):
     batches = (("mixed", ginibre_dm_batch(n_mixed, 6, rank, rng)),
                ("pure", haar_pure_batch(n_pure, 6, rng)))
 
-    rows = []
-    maxes = {}
+    blocks = {}
     for kind, batch in batches:
         pt = partial_transpose(batch, (3, 2), 1)
         neg = (np.abs(np.linalg.eigvalsh(pt)).sum(axis=1) - 1.0) / 2.0
         msn = sum_negativity_grid(wigner_batch(partial_trace(batch, (3, 2), 0), 3))
-        lhs = 16.0 * neg ** 2 + 9.0 * msn ** 2
-        maxes[kind] = float(np.max(lhs))
-        rows.extend(zip([kind] * len(batch), neg, msn, lhs))
-    return EntanglementScatterData(rows=rows, max_lhs=max(maxes.values()),
+        blocks[kind] = np.column_stack((neg, msn, 16.0 * neg ** 2 + 9.0 * msn ** 2))
+    maxes = {kind: float(np.max(block[:, 2])) for kind, block in blocks.items()}
+    return EntanglementScatterData(blocks=blocks, max_lhs=max(maxes.values()),
                                    max_lhs_pure=maxes["pure"])
 
 
@@ -313,7 +320,7 @@ def run_all(cfg):
     checks.append(("entanglement_tradeoff", ent.max_lhs <= 4.0 + cfg.tolerance,
                    f"max_lhs={ent.max_lhs:.12f}"))
 
-    audit_rows = []
+    audit_blocks = []
     audit_runs = [
         ("result1", channels.result1_audit, cfg.result1_trials, "audit_result1"),
         ("lp", channels.lp_monotonicity_audit, cfg.lp_trials, "audit_lp"),
@@ -324,12 +331,12 @@ def run_all(cfg):
         report = fn(n_trials=trials, seed=derived_rng(cfg.seed, stream))
         checks.append((f"audit_{name}", report.passed,
                        f"worst_margin={report.worst_margin:.3e} trials={trials}"))
-        audit_rows.append((name, trials, int(report.passed), report.worst_margin))
+        audit_blocks.append((name, [[trials, int(report.passed), report.worst_margin]]))
 
     paths = []
     artifacts = [("sweep.csv", sweep.csv()), ("coherence_scatter.csv", coh.csv()),
                  ("entanglement_scatter.csv", ent.csv()),
-                 ("audits.csv", csv_text(AUDITS_HEADER, audit_rows, []))]
+                 ("audits.csv", csv_text(AUDITS_HEADER, audit_blocks, []))]
     for fname, text in artifacts:
         path = os.path.join(cfg.outdir, fname)
         write_csv(path, text)

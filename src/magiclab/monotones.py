@@ -5,10 +5,10 @@ coherence by l_p norms of the off-diagonal part, by minimum trace distance
 to the incoherent states, and by the line-sum functional
 :func:`cw_coherence`, computed exactly from the non-vertical striation
 marginals by a one-variable closed form. Entanglement is the negativity of
-the partial transpose. Sum negativity, l1 and l_p coherence and C_w have
-batch kernels over (..., d, d) stacks (of Wigner grids for sum negativity
-and C_w), shared by the scalar forms, the experiments and the channel
-audits.
+the partial transpose. Sum negativity, mana, l1 and l_p coherence and C_w
+have batch kernels over (..., d, d) stacks (of Wigner grids for sum
+negativity, mana and C_w), shared by the scalar forms, the experiments and
+the channel audits.
 """
 
 from dataclasses import dataclass, field
@@ -40,11 +40,17 @@ def sum_negativity_grid(w):
 
 
 def mana(rho, base=None):
-    """log(sum_u |W_u|) = log(1 + sum negativity); natural log unless `base` given."""
-    total = sum_negativity(rho) + 1.0
-    if base is None:
-        return float(np.log(total))
-    return float(np.log(total) / np.log(base))
+    """log(sum_u |W_u|) = log(1 + sum negativity); natural log unless `base`
+    (finite, positive and not 1) is given."""
+    return float(mana_grid(wigner(rho), base))
+
+
+def mana_grid(w, base=None):
+    """Mana straight from a precomputed Wigner grid (or stack of grids)."""
+    if base is not None and not (0.0 < base < np.inf and base != 1.0):
+        raise ValueError(f"mana base must be finite, positive and not 1, got {base}")
+    total = sum_negativity_grid(w) + 1.0
+    return np.log(total) if base is None else np.log(total) / np.log(base)
 
 
 def l1_coherence(rho):
@@ -155,9 +161,8 @@ def all_monotones(rho, dims=None):
     wigner_ok = d % 2 == 1 and _is_prime(d)
     if wigner_ok:
         w = wigner_batch(rho[None], d)[0]
-        msn = float(sum_negativity_grid(w))
-        out.append(MonotoneReport("sum_negativity", msn))
-        out.append(MonotoneReport("mana", float(np.log(msn + 1.0))))
+        out.append(MonotoneReport("sum_negativity", float(sum_negativity_grid(w))))
+        out.append(MonotoneReport("mana", float(mana_grid(w))))
     out.append(MonotoneReport("l1_coherence", float(l1_coherence_batch(rho))))
     out.append(MonotoneReport("l2_coherence", float(lp_coherence_batch(rho, 2))))
     if wigner_ok:

@@ -165,3 +165,15 @@ def result1_oracle(n_trials, seed, tol):
     coh, _, _, _ = stabilizer.polytope_distance_batch(rhos, stabilizer.basis_projectors(3))
     margins = magic[:, 1] - coh[:, 0]
     return float(np.max(margins)), int(np.sum(margins > tol))
+
+
+def csv_text_oracle(header, rows, trailer):
+    """The per-cell CSV writer: strings as they are, every other cell through
+    format(float(x), '.17g'), lines joined by newlines."""
+    def fmt(x):
+        return x if isinstance(x, str) else format(float(x), ".17g")
+
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(x) for x in row) for row in rows)
+    lines.extend(f"# {key}={fmt(val)}" for key, val in trailer)
+    return "\n".join(lines) + "\n"

@@ -2,8 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from magiclab import experiments as ex, linalg, monotones as mo
+from conftest import csv_text_oracle
 
 
 def small_cfg(**kw):
@@ -42,7 +44,7 @@ def test_rank_above_dimension_samples_full_rank_states():
     assert np.all(np.linalg.eigvalsh(low)[:, 0] < 1e-12)
     assert np.all(np.linalg.eigvalsh(high)[:, 0] > 1e-6)
     data = ex.coherence_magic_scatter(ex.ExperimentConfig(samples=200, rank=7))
-    assert sum(row[0] == "mixed" for row in data.rows) == 20
+    assert len(data.blocks["mixed"]) == 20
 
 
 def test_config_from_file(tmp_path):
@@ -59,7 +61,7 @@ def test_config_from_file(tmp_path):
 
 def test_sweep_endpoints_and_kinks():
     data = ex.noise_sweep(small_cfg())
-    rows = {round(row[0], 10): row for row in data.rows}
+    rows = {round(row[0], 10): row for row in data.table}
     # p=0: both white-noise curves start at 2/3
     assert abs(rows[0.0][1] - 2 / 3) < 1e-10
     assert abs(rows[0.0][2] - 2 / 3) < 1e-10
@@ -75,7 +77,7 @@ def test_sweep_endpoints_and_kinks():
 
 def test_sweep_matches_formulas_on_grid():
     data = ex.noise_sweep(small_cfg())
-    for row in data.rows:
+    for row in data.table:
         for mcol, rcol in ((1, 5), (2, 6), (3, 7), (4, 8)):
             assert abs(row[mcol] - row[rcol]) < 1e-9
 
@@ -85,7 +87,7 @@ def test_sweep_robustness_orderings():
     # white noise: the strange curve survives past the norrell one
     assert data.kinks["strange_white"] > data.kinks["norrell_white"]
     # coherent noise: the noisy norrell state stays at least as magical
-    for row in data.rows:
+    for row in data.table:
         p, _, _, strange_coh, norrell_coh = row[:5]
         if 0 < p < 1:
             assert norrell_coh >= strange_coh - 1e-12
@@ -110,7 +112,7 @@ def test_coherence_bound_example_rows(named_states):
 def test_coherence_scatter_pure_bound_holds():
     data = ex.coherence_magic_scatter(small_cfg(samples=20000))
     assert data.min_slack_pure >= -1e-9
-    kinds = {row[0] for row in data.rows}
+    kinds = {kind for kind, block in data.blocks.items() if len(block)}
     assert kinds == {"pure", "mixed"}
 
 
@@ -165,8 +167,51 @@ def test_csv_round_trip_precision(tmp_path):
     body = [ln for ln in path.read_text().splitlines()
             if ln and not ln.startswith("#")][1:]
     parsed = np.array([[float(x) for x in ln.split(",")] for ln in body])
-    for i, row in enumerate(data.rows):
-        assert np.array_equal(parsed[i], np.array(row, dtype=float))
+    assert np.array_equal(parsed, data.table)
+
+
+_special = hst.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                             1e-300, -1e300, 1.7976931348623157e308, 1 / 3])
+_cells = hst.one_of(_special,
+                    hst.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    hst.floats(min_value=1e299, max_value=1e301),
+                    hst.floats(min_value=-1e-299, max_value=-1e-301),
+                    hst.integers(min_value=-2 ** 63, max_value=2 ** 63))
+
+
+@hst.composite
+def _csv_blocks(draw):
+    """(header, blocks, trailer) for csv_text, with blocks as object arrays so
+    that int cells reach the writer as ints."""
+    k = draw(hst.integers(min_value=1, max_value=5))
+    labelled = draw(hst.booleans())
+    labels = hst.text(alphabet="ab_%-", min_size=1, max_size=6) if labelled else hst.none()
+    blocks = []
+    for label in draw(hst.lists(labels, max_size=4)):
+        rows = draw(hst.lists(hst.lists(_cells, min_size=k, max_size=k), max_size=5))
+        blocks.append((label, np.array(rows, dtype=object).reshape(len(rows), k)))
+    header = ["kind"] * labelled + [f"c{j}" for j in range(k)]
+    trailer = draw(hst.lists(hst.tuples(hst.sampled_from(["a", "max_b"]), _cells), max_size=3))
+    return header, blocks, trailer
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_csv_blocks())
+def test_csv_text_matches_per_cell_oracle(case):
+    header, blocks, trailer = case
+    rows = [((label,) if label is not None else ()) + tuple(row)
+            for label, values in blocks for row in values]
+    assert ex.csv_text(header, blocks, trailer) == csv_text_oracle(header, rows, trailer)
+
+
+def test_scatter_data_is_columnar():
+    cfg = ex.ExperimentConfig(samples=300)
+    for data, width in ((ex.coherence_magic_scatter(cfg), 4), (ex.entanglement_magic_scatter(cfg), 3)):
+        blocks = list(data.blocks.values())
+        assert all(isinstance(b, np.ndarray) and b.dtype == float and b.shape[1] == width
+                   for b in blocks)
+        assert sum(len(b) for b in blocks) == cfg.samples + cfg.samples // 10
+    assert isinstance(ex.noise_sweep(cfg).table, np.ndarray)
 
 
 def test_run_all_passes_and_is_deterministic(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from magiclab import channels, linalg, monotones as mo, phasespace as ps, stabilizer as st
+from magiclab import (channels, cli, linalg, monotones as mo, phasespace as ps,
+                      stabilizer as st, stateio)
 from conftest import cw_grid_oracle, cw_lp_oracle, random_qutrit_batch
 
 
@@ -41,6 +43,22 @@ def test_mana_values(named_states):
     assert abs(mo.mana(named_states["mixed"])) < 1e-12
     assert abs(mo.mana(named_states["strange"]) - np.log(5 / 3)) < 1e-10
     assert abs(mo.mana(named_states["strange"], base=2) - np.log2(5 / 3)) < 1e-10
+
+
+@pytest.mark.parametrize("base", [1, 1.0, 0.0, -2.0, np.inf, -np.inf, np.nan])
+def test_mana_rejects_bases_without_a_logarithm(named_states, base):
+    with pytest.raises(ValueError, match="mana base"):
+        mo.mana(named_states["strange"], base=base)
+
+
+@pytest.mark.parametrize("base", ["1", "-2", "0", "nan", "inf"])
+def test_cli_wigner_rejects_mana_base_without_a_logarithm(tmp_path, capsys, base):
+    # in-process, so the error path costs no interpreter start
+    path = tmp_path / "mixed.txt"
+    stateio.write_state(path, linalg.maximally_mixed(3))
+    assert cli.main(["wigner", "--state", str(path), f"--mana-base={base}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: mana base")
 
 
 def test_mana_preserves_ordering():
@@ -322,3 +340,27 @@ def test_distances_validate_once(monkeypatch, named_states, entry):
     fn = st.incoherent_distance if entry == "incoherent_distance" else mo.distance_magic
     calls = _count_validations_and_grids(monkeypatch, fn, named_states["strange"])
     assert calls == {"validate": 1, "wigner_batch": 0}
+
+
+_entries = hst.lists(hst.floats(min_value=-1.0, max_value=1.0), min_size=9, max_size=9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(re=_entries, im=_entries, mix=hst.floats(min_value=0.0, max_value=1.0),
+       p=hst.sampled_from([1.5, 2.0, 3.0]))
+def test_monotones_invariant_under_monomial_cliffords(qutrit_vertices, re, im, mix, p):
+    g = np.reshape(re, (3, 3)) + 1j * np.reshape(im, (3, 3))
+    gram = g @ g.conj().T
+    if np.trace(gram).real < 1e-6:
+        gram = np.eye(3)
+    rho = (1 - mix) * gram / np.trace(gram).real + mix * np.eye(3) / 3
+    us = channels.incoherent_clifford_unitaries(3)
+    assert len(us) == 54
+    stack = np.concatenate([rho[None], us @ rho @ us.conj().transpose(0, 2, 1)])
+    for values in (mo.l1_coherence_batch(stack), mo.lp_coherence_batch(stack, p),
+                   mo.cw_coherence_grid(ps.wigner_batch(stack, 3))[0]):
+        assert np.max(np.abs(values - values[0])) < 1e-12
+    # every bracket holds the one true distance, so all brackets must overlap
+    for verts in (qutrit_vertices.projectors, st.basis_projectors(3)):
+        bounds, _, _, _ = st.polytope_distance_batch(stack, verts)
+        assert bounds[:, 0].max() <= bounds[:, 1].min() + 1e-12

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from magiclab import linalg, phasespace as ps
 from conftest import random_qutrit_batch
@@ -101,6 +102,18 @@ def test_wigner_normalization_and_marginals():
             sums = ps.line_sums(w, s)
             assert sums.min() >= -1e-10
             assert abs(sums.sum() - 1) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=hst.sampled_from([3, 5]), data=hst.data())
+def test_wigner_grid_sums_to_one_with_nonnegative_line_sums(d, data):
+    entries = hst.lists(hst.floats(min_value=-1.0, max_value=1.0), min_size=d * d, max_size=d * d)
+    g = np.reshape(data.draw(entries), (d, d)) + 1j * np.reshape(data.draw(entries), (d, d))
+    gram = g @ g.conj().T
+    rho = gram / np.trace(gram).real if np.trace(gram).real > 1e-6 else np.eye(d) / d
+    w = ps.wigner(rho)
+    assert abs(w.sum() - 1) < 1e-12
+    assert ps.striation_marginals(w).min() >= -1e-12
 
 
 def test_line_sums_vertical_is_diagonal():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from magiclab import linalg, stateio
 
@@ -55,3 +56,17 @@ def test_non_finite_entries_rejected(entry):
 def test_dumps_full_precision():
     rho = linalg.random_mixed(3, seed=72)
     assert np.array_equal(stateio.loads_state(stateio.dumps_state(rho)), rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=hst.integers(min_value=2, max_value=5), matrix=hst.booleans(), data=hst.data())
+def test_dumps_loads_round_trip_is_exact(d, matrix, data):
+    n = d * d if matrix else d
+    finite = hst.lists(hst.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+    state = np.empty(n, dtype=complex)
+    state.real, state.imag = data.draw(finite), data.draw(finite)
+    state = state.reshape((d, d) if matrix else (d,))
+    back = stateio.loads_state(stateio.dumps_state(state))
+    assert back.shape == state.shape
+    assert np.array_equal(back, state)
+    assert back.tobytes() == state.tobytes()    # signed zeros survive too
