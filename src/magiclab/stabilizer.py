@@ -11,11 +11,17 @@ cached per dimension, with read-only arrays, and built on first use.
 Distances are minimum trace distances to the convex hull of a vertex list,
 min over simplex weights w of (1/2)||rho - sum_i w_i v_i||_1. The solver is
 an ADMM splitting whose two half-steps are cheap: eigenvalue soft
-thresholding for the trace-norm block and a few warm-started FISTA steps of
-simplex-constrained least squares for the weights. Every distance comes as a
-certified bracket [lower, upper]. The upper bound is the trace distance at
-the current feasible weights. The lower bound is trace-norm duality: any
-Hermitian X with ||X||_inf <= 1/2 gives
+thresholding for the trace-norm block and warm-started FISTA steps of
+simplex-constrained least squares for the weights. The FISTA step is 1/L_T,
+with L_T = lambda_max(P G P) the curvature of the vertex Gram matrix G on
+the sum-zero directions (P = I - J/m, J the all-ones matrix): a move along
+the all-ones direction only shifts the gradient by a constant, which the
+simplex projection removes. For the mutually unbiased stabilizer vertices
+G = J/d + blockdiag(I - J/d), so L_T = 1 where lambda_max(G) is d + 1, and
+for the basis projectors G = I. Every distance comes as a certified bracket
+[lower, upper]. The upper bound is the trace distance at the current
+feasible weights. The lower bound is trace-norm duality: any Hermitian X
+with ||X||_inf <= 1/2 gives
 
     (1/2)||rho - sigma||_1 >= tr(X rho) - max_i tr(X v_i)
 
@@ -225,7 +231,11 @@ def _residual_bracket(rhos, delta, vdual):
     return 0.5 * np.sum(np.abs(lam), axis=1), lower
 
 
-def _admm(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, relax=1.6):
+_INNER_STEPS = 5  # FISTA steps per weight half-step, warm-started
+_RELAX = 1.6      # ADMM over-relaxation of the trace-norm block
+
+
+def _admm(rhos, vertices, tol=1e-9, max_iter=5000):
     """The solver of :func:`polytope_distance_batch` as a generator.
 
     After each bracket update it yields the (n, 2) [lower, upper] array,
@@ -241,7 +251,11 @@ def _admm(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, relax=1.6):
     vdual = verts.transpose(0, 2, 1).reshape(m, -1).T      # tr(X v_i) = X.flat @ vdual
 
     gram = (vflat @ vdual).real
-    lip = np.linalg.eigvalsh(gram)[-1]
+    centre = np.eye(m) - 1.0 / m
+    # L_T is exactly 1 for the stabilizer and basis sets; rounding off the
+    # eigensolver's last bits keeps their step exact
+    lip = np.round(np.linalg.eigvalsh(centre @ gram @ centre)[-1], 12)
+    lip = lip if lip > 0 else 1.0  # a single vertex: the projection fixes w = 1
 
     w = np.full((n, m), 1.0 / m)
     y = np.zeros_like(rhos)
@@ -262,12 +276,12 @@ def _admm(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, relax=1.6):
         # trace-norm block: eigenvalue soft threshold
         lam, u = np.linalg.eigh(delta - scaled_y)
         lam = np.sign(lam) * np.maximum(np.abs(lam) - 0.5 / ta[:, None], 0.0)
-        mat = relax * _from_eigh(u, lam) + (1.0 - relax) * delta
+        mat = _RELAX * _from_eigh(u, lam) + (1.0 - _RELAX) * delta
 
         # weight block: min_w ||mat - rho + Vw + y/tau||_F^2 on the simplex
         b = ((mat - ra + scaled_y).reshape(len(ra), -1) @ vdual).real
         x, z, tk = wa.copy(), wa.copy(), 1.0
-        for _ in range(inner):
+        for _ in range(_INNER_STEPS):
             x_new = _project_simplex_batch(z - (z @ gram + b) / lip)
             tk_new = (1.0 + np.sqrt(1.0 + 4.0 * tk * tk)) / 2.0
             z = x_new + (tk - 1.0) / tk_new * (x_new - x)
@@ -327,26 +341,27 @@ def _decided_bounds(rhos, vertices, decide):
     return _solve_until_decided([_admm(rhos, vertices)], decide)[0][0]
 
 
-def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000, inner=10, relax=1.6):
+def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):
     """min_w (1/2)||rho - sum_i w_i v_i||_1 over the simplex, for a state stack,
     bracketed by a dual lower bound.
 
     Over-relaxed ADMM on the split M = rho - Vw: the M update soft-thresholds
-    eigenvalues at 1/(2 tau), the w update takes `inner` warm-started FISTA
-    steps on the quadratic simplex subproblem, and the dual Y tracks the
-    constraint. Every 10 sweeps each state gets the upper bound at its
-    feasible weights and a lower bound from two dual witnesses: -Y clipped to
-    the dual ball, and the sign pattern of the residual rho - Vw (kept as a
-    running max, from 0 since distances are nonnegative); the per-state
-    penalty tau grows when the split residual lags. A state stops when
-    upper - lower <= tol.
+    eigenvalues at 1/(2 tau), the w update takes a few warm-started FISTA
+    steps of length 1/L_T on the quadratic simplex subproblem (L_T the Gram
+    curvature on sum-zero directions, see the module docstring), and the
+    dual Y tracks the constraint. Every 10 sweeps each state gets the upper
+    bound at its feasible weights and a lower bound from two dual witnesses:
+    -Y clipped to the dual ball, and the sign pattern of the residual
+    rho - Vw (kept as a running max, from 0 since distances are
+    nonnegative); the per-state penalty tau grows when the split residual
+    lags. A state stops when upper - lower <= tol.
 
     Returns (bounds, weights, iterations, certified): `bounds` is (n, 2) with
     columns [lower, upper], the upper bound evaluated at `weights`, and
     `certified` marks the states whose gap closed to within `tol` before
     `max_iter`.
     """
-    solver = _admm(rhos, vertices, tol=tol, max_iter=max_iter, inner=inner, relax=relax)
+    solver = _admm(rhos, vertices, tol=tol, max_iter=max_iter)
     return _solve_until_decided([solver], lambda bounds: None)[0]
 
 

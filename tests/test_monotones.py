@@ -342,6 +342,21 @@ def test_distances_validate_once(monkeypatch, named_states, entry):
     assert calls == {"validate": 1, "wigner_batch": 0}
 
 
+def test_monomial_cliffords_permute_the_non_vertical_line_sums(named_states):
+    # C_w is a symmetric function of the 9 non-vertical line sums, so it is
+    # invariant under any unitary that permutes them; all 54 monomial
+    # Cliffords do, on fixed states with no random stream
+    g = np.array([[1.0, 2.0j, 0.5], [0.3, -1.0, 1.0j], [2.0, 0.1 - 0.4j, 0.7]])
+    asymmetric = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    us = channels.incoherent_clifford_unitaries(3)
+    assert len(us) == 54
+    for rho in (named_states["strange"], named_states["norrell"], named_states["coherent"], asymmetric):
+        stack = np.concatenate([rho[None], us @ rho @ us.conj().transpose(0, 2, 1)])
+        sums = ps.striation_marginals(ps.wigner_batch(stack, 3))[:, 1:, :].reshape(len(stack), 9)
+        sums = np.sort(sums, axis=1)
+        assert np.max(np.abs(sums - sums[0])) < 1e-14
+
+
 _entries = hst.lists(hst.floats(min_value=-1.0, max_value=1.0), min_size=9, max_size=9)
 
 

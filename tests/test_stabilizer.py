@@ -131,6 +131,26 @@ def test_enumeration_rejects_unsupported():
         st.stabilizer_pure_states(5)
 
 
+def _vertex_gram(verts):
+    """G_ab = tr(v_a v_b) of a vertex stack."""
+    return np.einsum("aij,bji->ab", verts, verts).real
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stabilizer_gram_curvature_on_the_simplex(d):
+    # the weight step is 1/L_T with L_T = lambda_max(P G P), P = I - J/m;
+    # for the stabilizer sets that is 1, against lambda_max(G) = d + 1
+    gram = _vertex_gram(st.stabilizer_pure_states(d).projectors)
+    centre = np.eye(len(gram)) - 1.0 / len(gram)
+    assert abs(np.linalg.eigvalsh(gram)[-1] - (d + 1)) < 1e-12
+    assert abs(np.linalg.eigvalsh(centre @ gram @ centre)[-1] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_basis_gram_is_identity(d):
+    assert np.max(np.abs(_vertex_gram(st.basis_projectors(d)) - np.eye(d))) < 1e-12
+
+
 def test_polytope_distance_vertex(qutrit_vertices):
     res = st.polytope_distance(qutrit_vertices.projectors[4], qutrit_vertices)
     assert res.distance <= 1e-9
@@ -169,6 +189,16 @@ def test_polytope_distance_random_vs_slsqp(qutrit_vertices):
         assert abs(d - oracle) < 5e-7
         # the oracle's value is attained at feasible weights: no valid lower bound exceeds it
         assert lower <= oracle + 1e-12
+
+
+def test_stabilizer_solve_sweep_budget(qutrit_vertices):
+    # sweep-count regression guard: 1,000 qutrits all certify within 300
+    # sweeps (the slowest takes 170)
+    rng = np.random.default_rng(2024)
+    rhos = np.concatenate([linalg.ginibre_dm_batch(500, 3, 3, rng), linalg.haar_pure_batch(500, 3, rng)])
+    _, _, iters, certified = st.polytope_distance_batch(rhos, qutrit_vertices.projectors)
+    assert certified.all()
+    assert iters.max() <= 300
 
 
 def test_incoherent_bracket_vs_slsqp():
@@ -305,6 +335,14 @@ def test_incoherent_distance_diagonal_zero():
     for _ in range(10):
         diag = np.diag(rng.dirichlet(np.ones(3))).astype(complex)
         assert st.incoherent_distance(diag) <= 1e-9
+
+
+def test_single_vertex_distance():
+    # one vertex leaves no sum-zero direction (L_T = 0); the weight is fixed at 1
+    res = st.polytope_distance(np.eye(1), st.basis_projectors(1))
+    assert res.distance == 0.0
+    assert res.certified
+    assert res.weights.tolist() == [1.0]
 
 
 def test_incoherent_distance_coherent_pinned(named_states):
