@@ -33,6 +33,8 @@ rather than their values can also stop a state as soon as its bracket
 answers it: the solver is a generator that yields the brackets at each
 update and takes back the states the caller has decided (`in_polytope`,
 and in `channels` the classifier, `estimate_cm` and the result1 audit).
+The brackets are updated every 10 sweeps, and a decision-directed solve
+also reads them after sweeps 1 and 2, where most of its states are decided.
 The same minimizer over the computational-basis projectors gives the
 distance to the incoherent states. (A plain Frank-Wolfe
 scheme with exact line search stalls here: the steepest-descent vertex
@@ -233,15 +235,25 @@ def _residual_bracket(rhos, delta, vdual):
 
 _INNER_STEPS = 5  # FISTA steps per weight half-step, warm-started
 _RELAX = 1.6      # ADMM over-relaxation of the trace-norm block
+# the sweeps after which a decision-directed solve reads its brackets too
+_EARLY_BRACKETS = (1, 2)
 
 
-def _admm(rhos, vertices, tol=1e-9, max_iter=5000):
+def _admm(rhos, vertices, tol=1e-9, max_iter=5000, decisive=False):
     """The solver of :func:`polytope_distance_batch` as a generator.
 
     After each bracket update it yields the (n, 2) [lower, upper] array,
     which it keeps updating in place, and accepts an optional boolean mask
     over the states: the states the caller has decided stop there, without
     being certified. It returns (bounds, weights, iterations, certified).
+
+    The brackets are updated every 10 sweeps and at `max_iter`. A
+    `decisive` solve, whose caller decides states from their brackets, also
+    reads them after sweeps 1 and 2, where most decided states already
+    stop. The penalty tau keeps its 10-sweep schedule, so an extra read
+    changes only when a state stops, never its iterates; a plain solve
+    skips them, since a bracket costs about as much as a sweep and a state
+    needs tens of sweeps to certify.
     """
     rhos = np.asarray(rhos, dtype=complex)
     verts = np.asarray(vertices, dtype=complex)
@@ -298,13 +310,15 @@ def _admm(rhos, vertices, tol=1e-9, max_iter=5000):
         y[active] = ya
         iters[active] = sweep
 
-        if sweep % 10 == 0 or sweep == max_iter:
+        cadence = sweep % 10 == 0
+        if cadence or sweep == max_iter or (decisive and sweep in _EARLY_BRACKETS):
             upper, lower = _residual_bracket(ra, delta, vdual)
             lower = np.maximum(lower, _clipped_dual_bound(ra, ya, vdual))
             lower = np.maximum(lower, bounds[active, 0])
             bounds[active] = np.stack([lower, upper], axis=1)
-            rp = np.max(np.abs(resid), axis=(1, 2))
-            tau[active] = np.where(rp > 1e-7, ta * 1.5, ta)
+            if cadence:
+                rp = np.max(np.abs(resid), axis=(1, 2))
+                tau[active] = np.where(rp > 1e-7, ta * 1.5, ta)
             done = upper - lower <= tol
             certified[np.compress(done, active)] = True
             active = np.compress(~done, active)
@@ -338,7 +352,7 @@ def _solve_until_decided(solvers, decide):
 def _decided_bounds(rhos, vertices, decide):
     """The [lower, upper] brackets of one batch solve in which each state
     stops once decide(bounds) marks it (or once certified)."""
-    return _solve_until_decided([_admm(rhos, vertices)], decide)[0][0]
+    return _solve_until_decided([_admm(rhos, vertices, decisive=True)], decide)[0][0]
 
 
 def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magiclab import channels as ch, linalg, monotones as mo, phasespace as ps, stabilizer as st
+from magiclab import channels as ch, cli, linalg, monotones as mo, phasespace as ps, stabilizer as st
 from conftest import kraus_images_loop, result1_oracle
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -270,6 +270,20 @@ def test_result1_audit_small():
     assert report.details["undecided"] == 0
 
 
+def test_result1_reports_its_pruning_and_sweeps(capsys):
+    # the early bracket reads decide almost every pair within two sweeps
+    n = 400
+    details = ch.result1_audit(n_trials=n, seed=1).details
+    assert details["undecided"] == 0
+    assert details["pruned"] >= 0.9 * n
+    assert details["sweeps_p50"] <= 2
+    assert 10 <= details["sweeps_max"] <= 5000
+    assert cli.main(["audit", "--suite", "result1", "--n", str(n), "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for key in ("pruned", "sweeps_p50", "sweeps_max"):
+        assert f"{key}={details[key]}" in lines
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("tol", [1e-8, -0.3])
 def test_result1_branch_and_bound_matches_full_solves(seed, tol):
@@ -320,6 +334,16 @@ def test_gso_audit_small():
     assert report.passed
     assert report.details["non_identity_fixers"] == 0
     assert report.details["diag_both_bases_kernel_dim"] == 1
+
+
+def test_summed_images_match_images():
+    # gso's one contraction against the per-element matmuls of `_images`
+    rng = np.random.default_rng(77)
+    kraus = ch._haar_kraus(rng.integers(1, 5, size=50), 2, rng)
+    verts = st.stabilizer_pure_states(2).projectors
+    got = ch._summed_images(kraus, verts)
+    assert got.shape == (50, len(verts), 2, 2)
+    assert np.max(np.abs(got - ch._images(kraus[:, None], verts).sum(axis=2))) <= 1e-15
 
 
 def test_lp_plain_partial_trace_fails_for_p2():

@@ -379,3 +379,40 @@ def test_monotones_invariant_under_monomial_cliffords(qutrit_vertices, re, im, m
     for verts in (qutrit_vertices.projectors, st.basis_projectors(3)):
         bounds, _, _, _ = st.polytope_distance_batch(stack, verts)
         assert bounds[:, 0].max() <= bounds[:, 1].min() + 1e-12
+
+
+def _csum(control_is_system):
+    """The qutrit CSUM on system x ancilla, |a, b> -> |a, a+b> (system
+    controls) or |a+b, b> (ancilla controls): a monomial two-qutrit Clifford."""
+    out = np.zeros((9, 9))
+    for a in range(3):
+        for b in range(3):
+            target = 3 * a + (a + b) % 3 if control_is_system else 3 * ((a + b) % 3) + b
+            out[target, 3 * a + b] = 1.0
+    return out
+
+
+_COUPLINGS = (np.eye(9), _csum(True), _csum(False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(re=_entries, im=_entries, u=hst.integers(0, 53), v=hst.integers(0, 53),
+       anc=hst.lists(hst.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=3),
+       coupling=hst.sampled_from(range(len(_COUPLINGS))))
+def test_cw_never_increases_under_the_diagonal_ancilla_protocol(re, im, u, v, anc, coupling):
+    # C_w(Tr_anc[W (U x V)(rho x sigma)(U x V)^dag W^dag]) <= C_w(rho) for
+    # monomial Cliffords U, V, a diagonal ancilla sigma and W the identity or
+    # a CSUM either way: the output is a mixture of monomial-Clifford
+    # conjugates of rho, so its line sums are a doubly stochastic image of
+    # rho's, and C_w is convex and symmetric in them (the README has the argument)
+    g = np.reshape(re, (3, 3)) + 1j * np.reshape(im, (3, 3))
+    gram = g @ g.conj().T
+    rho = gram / np.trace(gram).real if np.trace(gram).real > 1e-6 else np.eye(3) / 3
+    weights = np.asarray(anc) if sum(anc) > 1e-6 else np.ones(3)
+    sigma = np.diag(weights / weights.sum()).astype(complex)
+    us = channels.incoherent_clifford_unitaries(3)
+    joint = _COUPLINGS[coupling] @ linalg.tensor(us[u], us[v])
+    evolved = joint @ linalg.tensor(rho, sigma) @ joint.conj().T
+    out = linalg.partial_trace(evolved, (3, 3), 0)
+    before, after = mo.cw_coherence_grid(ps.wigner_batch(np.stack([rho, out]), 3))[0]
+    assert after <= before + 1e-12

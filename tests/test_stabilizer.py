@@ -201,6 +201,36 @@ def test_stabilizer_solve_sweep_budget(qutrit_vertices):
     assert iters.max() <= 300
 
 
+@pytest.mark.parametrize("kind", ["stabilizer", "basis"])
+def test_early_brackets_change_only_when_a_state_stops(qutrit_vertices, kind):
+    # a decisive solve also reads its brackets at sweeps 1 and 2; with a
+    # decision that never fires, only certification can stop a state there
+    # (the maximally mixed state, at the centre of both polytopes, does), and
+    # every other state must iterate bit for bit as in the plain solve
+    verts = qutrit_vertices.projectors if kind == "stabilizer" else st.basis_projectors(3)
+    rng = np.random.default_rng(909)
+    rhos = np.concatenate([linalg.maximally_mixed(3)[None], linalg.ginibre_dm_batch(100, 3, 3, rng),
+                           linalg.haar_pure_batch(100, 3, rng)])
+    never = lambda bounds: np.zeros(len(bounds), dtype=bool)  # noqa: E731
+    early, w_early, it_early, ok_early = st._solve_until_decided(
+        [st._admm(rhos, verts, decisive=True)], never)[0]
+    plain, w_plain, it_plain, ok_plain = st._solve_until_decided([st._admm(rhos, verts)], never)[0]
+    assert ok_early.all() and ok_plain.all()
+    assert it_early[0] == 1 and it_plain[0] == 10
+    assert np.all(it_early <= it_plain)
+    same = it_early == it_plain
+    assert same.sum() >= len(rhos) - 5
+    assert np.array_equal(w_early[same], w_plain[same])
+    assert np.array_equal(early[same, 1], plain[same, 1])
+    assert np.all(early[same, 0] >= plain[same, 0])
+    # the plain schedule: brackets only every 10 sweeps and at max_iter
+    _, _, iters, _ = st.polytope_distance_batch(rhos, verts)
+    assert np.array_equal(iters, it_plain)
+    assert np.all(iters % 10 == 0)
+    _, _, iters, certified = st.polytope_distance_batch(rhos, verts, max_iter=25)
+    assert np.all((iters % 10 == 0) | (iters == 25)) and not certified.all()
+
+
 def test_incoherent_bracket_vs_slsqp():
     rhos = random_qutrit_batch(6, seed=38)
     basis = st.basis_projectors(3)
