@@ -33,6 +33,9 @@ from .phasespace import wigner_batch
 
 COMPLETENESS_ATOL = 1e-10
 INCOHERENT_ENTRY_TOL = 1e-9
+PROB_FLOOR = 1e-12    # selective outcomes at or below this probability are dropped
+MONOTONE_TOL = 1e-9   # allowed coherence increase in the lp and selective audits
+CW_SLACK = 2e-6       # allowed C_w increase in the contractivity audit
 
 
 @dataclass(frozen=True)
@@ -92,17 +95,18 @@ def apply(channel, rho):
     return _images(channel.kraus, rho).sum(axis=0)
 
 
-def selective_outcomes(channel, rho, prob_floor=1e-12):
-    """[(p_i, K_i rho K_i^dag / p_i)] for outcomes with p_i above the floor."""
+def selective_outcomes(channel, rho):
+    """[(p_i, K_i rho K_i^dag / p_i)] for outcomes with p_i above PROB_FLOOR."""
     out = _images(channel.kraus, validate_density_matrix(rho))
     p = np.einsum("kii->k", out).real
-    keep = p > prob_floor
+    keep = p > PROB_FLOOR
     return list(zip(p[keep].tolist(), out[keep] / p[keep, None, None]))
 
 
-def is_incoherent(channel, tol=INCOHERENT_ENTRY_TOL):
-    """True iff every Kraus matrix has at most one entry above tol per column."""
-    return bool(np.all((np.abs(channel.kraus) > tol).sum(axis=-2) <= 1))
+def is_incoherent(channel):
+    """True iff every Kraus matrix has at most one entry above
+    INCOHERENT_ENTRY_TOL per column."""
+    return bool(np.all((np.abs(channel.kraus) > INCOHERENT_ENTRY_TOL).sum(axis=-2) <= 1))
 
 
 def _kraus_counts(n_kraus):
@@ -163,10 +167,10 @@ def sample_channel(d, n_kraus, seed=None):
 # classifiers
 # ---------------------------------------------------------------------------
 
-def _is_monomial(u, tol=INCOHERENT_ENTRY_TOL):
+def _is_monomial(u):
     """Exactly one significant entry per column and per row (permutation x
     phases), for a matrix or per matrix of a stack."""
-    mask = np.abs(u) > tol
+    mask = np.abs(u) > INCOHERENT_ENTRY_TOL
     return np.all(mask.sum(axis=-2) == 1, axis=-1) & np.all(mask.sum(axis=-1) == 1, axis=-1)
 
 
@@ -207,8 +211,7 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
         raise ValueError(f"channel maps {channel.dim_in} -> {channel.dim_out}, "
                          f"vertices have dimension {d}")
     incoh = is_incoherent(channel)
-    clifford = (incoh and len(channel.kraus) == 1
-                and stabilizer._phase_key(channel.kraus[0]) in stabilizer.clifford_group(d).index)
+    clifford = incoh and len(channel.kraus) == 1 and channel.kraus[0] in stabilizer.clifford_group(d)
     weights = rng_from(seed).dirichlet(np.ones(len(verts)), size=n_probe)
     probes = np.concatenate([verts, np.einsum("nm,mij->nij", weights, verts)])
     images = _images(channel.kraus, probes).sum(axis=1)
@@ -216,28 +219,28 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
     def decided(b):  # one probe certainly outside, or every probe within tol
         return np.full(len(b), np.any(b[:, 0] > tol) or np.all(b[:, 1] <= tol))
 
-    bounds = stabilizer._decided_bounds(images, verts, decided)
+    bounds = stabilizer.solve_decided([(images, verts)], decided)[0][0]
     return HierarchyFlags(incoherent=incoh, incoherent_clifford_unitary=clifford,
                           stabilizer_preserving=bool(np.all(bounds[:, 1] <= tol)),
                           genuinely_stabilizer=is_genuinely_stabilizer(channel, vertex_set, tol))
 
 
-def estimate_cm(rho, n_trials, seed=None, n_kraus=None):
+def estimate_cm(rho, n_trials, seed=None):
     """Certified lower bound on the supremum of polytope distance over
     incoherent images of rho: the largest dual lower bound over the identity,
     the incoherent Clifford unitaries and `n_trials` sampled incoherent
-    channels (with `n_kraus` elements each, or a uniform count in 1..d^2).
+    channels (each with a uniform Kraus count in 1..d^2).
     An image stops being solved once its upper bound falls below the best
     lower bound so far, since it can no longer raise the maximum.
     """
     rho = validate_density_matrix(rho)
     d = rho.shape[0]
     rng = rng_from(seed)
-    counts = rng.integers(1, d * d + 1, size=n_trials) if n_kraus is None else np.full(n_trials, n_kraus)
+    counts = rng.integers(1, d * d + 1, size=n_trials)
     images = np.concatenate([rho[None], _images(incoherent_clifford_unitaries(d), rho),
                              _images(_incoherent_kraus(counts, d, rng), rho).sum(axis=1)])
-    bounds = stabilizer._decided_bounds(images, stabilizer.stabilizer_pure_states(d).projectors,
-                                        lambda b: b[:, 1] < np.max(b[:, 0]))
+    problem = (images, stabilizer.stabilizer_pure_states(d).projectors)
+    bounds = stabilizer.solve_decided([problem], lambda b: b[:, 1] < np.max(b[:, 0]))[0][0]
     return float(np.max(bounds[:, 0]))
 
 
@@ -273,12 +276,12 @@ def _mixed_and_pure(n, d, rng):
     return np.concatenate([ginibre_dm_batch((n + 1) // 2, d, d, rng), haar_pure_batch(n // 2, d, rng)])
 
 
-def _result1_pairs(n_trials, rng):
-    """result1's draws: the states rho and their images under random
-    incoherent channels with 1..9 Kraus elements, both (n, 3, 3)."""
+def _incoherent_outcomes(n_trials, rng):
+    """The draws of the result1 and selective audits: qutrits rho (n, 3, 3) and
+    their outcomes K_i rho K_i^dag (n, 9, 3, 3) under random incoherent
+    channels with 1..9 Kraus elements, zero past each channel's count."""
     rhos = _mixed_and_pure(n_trials, 3, rng)
-    images = _images(_incoherent_kraus(rng.integers(1, 10, size=n_trials), 3, rng), rhos).sum(axis=1)
-    return rhos, images
+    return rhos, _images(_incoherent_kraus(rng.integers(1, 10, size=n_trials), 3, rng), rhos)
 
 
 def result1_audit(n_trials=10000, seed=0, tol=1e-8):
@@ -298,7 +301,8 @@ def result1_audit(n_trials=10000, seed=0, tol=1e-8):
     and `sweeps_max` over the states of both solves.
     """
     _require_trials(n_trials)
-    rhos, images = _result1_pairs(n_trials, rng_from(seed))
+    rhos, images = _incoherent_outcomes(n_trials, rng_from(seed))
+    images = images.sum(axis=1)  # frees the (n, 9, 3, 3) outcomes before the solve
     pruned = np.zeros(n_trials, dtype=bool)
 
     def decided(magic, coh):
@@ -306,9 +310,9 @@ def result1_audit(n_trials=10000, seed=0, tol=1e-8):
         pruned[(upper <= tol) & (upper < np.max(magic[:, 0] - coh[:, 1]))] = True
         return pruned
 
-    (magic, _, magic_sweeps, magic_ok), (coh, _, coh_sweeps, coh_ok) = stabilizer._solve_until_decided(
-        [stabilizer._admm(images, stabilizer.stabilizer_pure_states(3).projectors, decisive=True),
-         stabilizer._admm(rhos, stabilizer.basis_projectors(3), decisive=True)], decided)
+    (magic, _, magic_sweeps, magic_ok), (coh, _, coh_sweeps, coh_ok) = stabilizer.solve_decided(
+        [(images, stabilizer.stabilizer_pure_states(3).projectors),
+         (rhos, stabilizer.basis_projectors(3))], decided)
     margins = magic[:, 1] - coh[:, 0]
     worst = float(np.max(margins))
     sweeps = np.concatenate([magic_sweeps, coh_sweeps])
@@ -320,10 +324,12 @@ def result1_audit(n_trials=10000, seed=0, tol=1e-8):
                                 "sweeps_max": int(np.max(sweeps))})
 
 
-def lp_monotonicity_audit(n_trials=1000, seed=0, tol=1e-9, ps=(1.0, 1.5, 2.0, 3.0)):
-    """l_p monotonicity under the incoherent stabilizer protocol pieces.
+def lp_monotonicity_audit(n_trials=1000, seed=0):
+    """l_p monotonicity under the incoherent stabilizer protocol pieces, for
+    p in 1, 1.5, 2 and 3.
 
-    Per trial (random qutrit rho, monomial Clifford U, diagonal ancilla sigma):
+    Per trial (random qutrit rho, monomial Clifford U, diagonal ancilla sigma),
+    with tol = MONOTONE_TOL:
       conjugation leg   C(U rho U^dag)                       <= C(rho) + tol
       tensoring leg     C(rho x sigma)                       <= C(rho) + tol
       partial-trace leg C(Tr_anc[(U x V)(rho x sigma)(...)]) <= C(rho) + tol
@@ -344,7 +350,7 @@ def lp_monotonicity_audit(n_trials=1000, seed=0, tol=1e-9, ps=(1.0, 1.5, 2.0, 3.
     legs = {"conjugation": _images(u_sys[:, None], rhos)[:, 0], "tensoring": joint,
             "partial_trace": traced}
     margins = {}
-    for p in ps:
+    for p in (1.0, 1.5, 2.0, 3.0):
         base = monotones.lp_coherence_batch(rhos, p)
         for leg, states in legs.items():
             margins[f"{leg}@p={p}"] = np.max(monotones.lp_coherence_batch(states, p) - base)
@@ -353,27 +359,25 @@ def lp_monotonicity_audit(n_trials=1000, seed=0, tol=1e-9, ps=(1.0, 1.5, 2.0, 3.
                                                       - monotones.l1_coherence_batch(evolved))
     worst_leg = max(margins, key=margins.get)
     worst = float(margins[worst_leg])
-    return AuditReport(suite="lp", trials=n_trials, passed=worst <= tol, worst_margin=worst,
-                       details={"tolerance": tol, "worst_leg": worst_leg})
+    return AuditReport(suite="lp", trials=n_trials, passed=worst <= MONOTONE_TOL, worst_margin=worst,
+                       details={"tolerance": MONOTONE_TOL, "worst_leg": worst_leg})
 
 
-def selective_audit(n_trials=1000, seed=0, tol=1e-9):
+def selective_audit(n_trials=1000, seed=0):
     """Strong monotonicity of l1 under selective incoherent measurement:
-    sum_i p_i C_l1(outcome_i) <= C_l1(rho) + tol, over the outcomes with p_i
-    above the `selective_outcomes` floor. Since l1 is absolutely homogeneous,
+    sum_i p_i C_l1(outcome_i) <= C_l1(rho) + MONOTONE_TOL, over the outcomes
+    with p_i above PROB_FLOOR. Since l1 is absolutely homogeneous,
     p_i C_l1(outcome_i) = C_l1(K_i rho K_i^dag)."""
     _require_trials(n_trials)
-    rng = rng_from(seed)
-    rhos = _mixed_and_pure(n_trials, 3, rng)
-    outcomes = _images(_incoherent_kraus(rng.integers(1, 10, size=n_trials), 3, rng), rhos)
-    kept = np.einsum("nkii->nk", outcomes).real > 1e-12
+    rhos, outcomes = _incoherent_outcomes(n_trials, rng_from(seed))
+    kept = np.einsum("nkii->nk", outcomes).real > PROB_FLOOR
     avg = np.sum(monotones.l1_coherence_batch(outcomes) * kept, axis=1)
     worst = float(np.max(avg - monotones.l1_coherence_batch(rhos)))
-    return AuditReport(suite="selective", trials=n_trials, passed=worst <= tol,
-                       worst_margin=worst, details={"tolerance": tol})
+    return AuditReport(suite="selective", trials=n_trials, passed=worst <= MONOTONE_TOL,
+                       worst_margin=worst, details={"tolerance": MONOTONE_TOL})
 
 
-def gso_audit(n_trials=10000, seed=0, tol=1e-7):
+def gso_audit(n_trials=10000, seed=0):
     """No non-identity channel fixes the whole qubit vertex set; plus the
     deterministic core: a matrix diagonal in both the computational and the
     Fourier basis is a multiple of the identity (checked as a rank-1 kernel).
@@ -388,7 +392,7 @@ def gso_audit(n_trials=10000, seed=0, tol=1e-7):
     counts = rng.integers(1, 5, size=n_trials)
     kraus = _haar_kraus(counts, 2, rng)
     images = _summed_images(kraus, verts)  # (n, vertex, 2, 2)
-    fixes = np.max(np.abs(images - verts), axis=(1, 2, 3)) <= tol
+    fixes = np.max(np.abs(images - verts), axis=(1, 2, 3)) <= 1e-7
     # a unitary equal to the identity up to phase fixes everything; skip those
     u = kraus[:, 0]
     trivial = (counts == 1) & (np.max(np.abs(u - u[:, :1, :1] * np.eye(2)), axis=(1, 2)) < 1e-9)
@@ -405,8 +409,9 @@ def gso_audit(n_trials=10000, seed=0, tol=1e-7):
                        details={"non_identity_fixers": fixers, "diag_both_bases_kernel_dim": kernel_dim})
 
 
-def cw_contractivity_audit(n_trials=200, seed=0, slack=2e-6):
-    """C_w does not increase under generic (full-environment) CPTP channels.
+def cw_contractivity_audit(n_trials=200, seed=0):
+    """C_w does not increase, beyond CW_SLACK, under generic (full-environment)
+    CPTP channels.
 
     Trial t draws a qutrit (mixed for even t, pure for odd t), then the
     27 x 3 Ginibre matrix of its channel, each as real then imaginary
@@ -426,8 +431,8 @@ def cw_contractivity_audit(n_trials=200, seed=0, slack=2e-6):
     before, _ = monotones.cw_coherence_grid(wigner_batch(rhos, 3))
     after, _ = monotones.cw_coherence_grid(wigner_batch(_images(kraus, rhos).sum(axis=1), 3))
     worst = float(np.max(after - before))
-    return AuditReport(suite="cw_contractivity", trials=n_trials, passed=worst <= slack,
-                       worst_margin=worst, details={"slack": slack})
+    return AuditReport(suite="cw_contractivity", trials=n_trials, passed=worst <= CW_SLACK,
+                       worst_margin=worst, details={"slack": CW_SLACK})
 
 
 AUDIT_SUITES = {

@@ -23,8 +23,8 @@ import numpy as np
 from . import channels
 from .linalg import (dm_from_pure, ginibre_dm_batch, haar_pure_batch,
                      maximally_coherent_state, maximally_mixed, norrell_state,
-                     partial_trace, partial_transpose, strange_state)
-from .monotones import l1_coherence_batch, sum_negativity_grid
+                     partial_trace, strange_state)
+from .monotones import l1_coherence_batch, negativity_batch, sum_negativity_grid
 from .phasespace import wigner_batch
 
 STREAM_OFFSETS = {
@@ -72,9 +72,9 @@ class ExperimentConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.rank < 0:
             raise ValueError(f"rank must be >= 0, got {self.rank}")
-        for name in ("result1_trials", "lp_trials", "selective_trials", "gso_trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for suite in channels.AUDIT_SUITES:
+            if getattr(self, f"{suite}_trials") < 1:
+                raise ValueError(f"{suite}_trials must be >= 1")
 
     def p_grid(self):
         n = int(round((self.p_stop - self.p_start) / self.p_step))
@@ -135,17 +135,17 @@ def write_csv(path, text):
 # noise sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_HEADER = ("p", "msn_strange_white", "msn_norrell_white", "msn_strange_coherent",
-                "msn_norrell_coherent", "ref_strange_white", "ref_norrell_white",
-                "ref_strange_coherent", "ref_norrell_coherent")
-
-
-def _sweep_references(p):
-    ref_sw = np.where(p <= 0.75, (2 / 9) * (3 - 4 * p), 0.0)
-    ref_nw = np.where(p <= 0.6, (2 / 9) * (3 - 5 * p), 0.0)
-    ref_sc = np.where(p <= 0.6, (2 / 9) * (3 - 2 * p), (1 / 9) * (3 + p))
-    ref_nc = (2 / 9) * (3 - p)
-    return ref_sw, ref_nw, ref_sc, ref_nc
+# The sweep's four curves: (state, noise, reference sum negativity up to the
+# kink, reference after it, kink p). The Norrell state under coherent noise
+# follows one line over the whole grid.
+SWEEP_CURVES = (
+    ("strange", "white", lambda p: (2 / 9) * (3 - 4 * p), np.zeros_like, 0.75),
+    ("norrell", "white", lambda p: (2 / 9) * (3 - 5 * p), np.zeros_like, 0.6),
+    ("strange", "coherent", lambda p: (2 / 9) * (3 - 2 * p), lambda p: (1 / 9) * (3 + p), 0.6),
+    ("norrell", "coherent", lambda p: (2 / 9) * (3 - p), None, None),
+)
+SWEEP_HEADER = ("p", *(f"{col}_{state}_{noise}" for col in ("msn", "ref")
+                       for state, noise, *_ in SWEEP_CURVES))
 
 
 def _detect_kink(p, measured, branch1, branch2):
@@ -173,30 +173,21 @@ def noise_sweep(cfg):
     """Sum negativity of noisy strange/Norrell states on the p grid, with the
     four piecewise reference curves and detected kink locations."""
     p = cfg.p_grid()
-    psi_s = dm_from_pure(strange_state())
-    psi_n = dm_from_pure(norrell_state())
-    white = maximally_mixed(3)
-    coh = dm_from_pure(maximally_coherent_state())
+    states = {"strange": dm_from_pure(strange_state()), "norrell": dm_from_pure(norrell_state())}
+    noises = {"white": maximally_mixed(3), "coherent": dm_from_pure(maximally_coherent_state())}
 
-    curves = {}
-    for name, (state, noise) in {
-        "strange_white": (psi_s, white), "norrell_white": (psi_n, white),
-        "strange_coherent": (psi_s, coh), "norrell_coherent": (psi_n, coh),
-    }.items():
-        rhos = (1 - p)[:, None, None] * state + p[:, None, None] * noise
-        curves[name] = sum_negativity_grid(wigner_batch(rhos, 3))
-
-    refs = _sweep_references(p)
-    measured = list(curves.values())
+    measured, refs, kinks = [], [], {}
+    for state, noise, before, after, kink in SWEEP_CURVES:
+        rhos = (1 - p)[:, None, None] * states[state] + p[:, None, None] * noises[noise]
+        measured.append(sum_negativity_grid(wigner_batch(rhos, 3)))
+        if kink is None:
+            refs.append(before(p))
+        else:
+            refs.append(np.where(p <= kink, before(p), after(p)))
+            found = _detect_kink(p, measured[-1], before(p), after(p))
+            if found is not None:
+                kinks[f"{state}_{noise}"] = found
     max_resid = max(float(np.max(np.abs(m - r))) for m, r in zip(measured, refs))
-
-    kinks = {}
-    for name, branch1, branch2 in (("strange_white", (2 / 9) * (3 - 4 * p), np.zeros_like(p)),
-                                   ("norrell_white", (2 / 9) * (3 - 5 * p), np.zeros_like(p)),
-                                   ("strange_coherent", (2 / 9) * (3 - 2 * p), (1 / 9) * (3 + p))):
-        kink = _detect_kink(p, curves[name], branch1, branch2)
-        if kink is not None:
-            kinks[name] = kink
 
     return SweepData(table=np.column_stack((p, *measured, *refs)),
                      max_abs_residual=max_resid, kinks=kinks)
@@ -268,8 +259,7 @@ def entanglement_magic_scatter(cfg):
 
     blocks = {}
     for kind, batch in batches:
-        pt = partial_transpose(batch, (3, 2), 1)
-        neg = (np.abs(np.linalg.eigvalsh(pt)).sum(axis=1) - 1.0) / 2.0
+        neg = negativity_batch(batch, (3, 2))
         msn = sum_negativity_grid(wigner_batch(partial_trace(batch, (3, 2), 0), 3))
         blocks[kind] = np.column_stack((neg, msn, 16.0 * neg ** 2 + 9.0 * msn ** 2))
     maxes = {kind: float(np.max(block[:, 2])) for kind, block in blocks.items()}
@@ -307,9 +297,8 @@ def run_all(cfg):
     sweep = noise_sweep(cfg)
     checks.append(("sweep_residual", sweep.max_abs_residual < cfg.tolerance,
                    f"max_abs_residual={sweep.max_abs_residual:.3e} tol={cfg.tolerance:g}"))
-    expected_kinks = {"strange_white": 0.75, "norrell_white": 0.6, "strange_coherent": 0.6}
-    kinks_ok = all(abs(sweep.kinks.get(k, np.inf) - v) <= cfg.p_step / 2 + 1e-12
-                   for k, v in expected_kinks.items())
+    kinks_ok = all(abs(sweep.kinks.get(f"{state}_{noise}", np.inf) - kink) <= cfg.p_step / 2 + 1e-12
+                   for state, noise, *_, kink in SWEEP_CURVES if kink is not None)
     checks.append(("sweep_kinks", kinks_ok, f"detected={sweep.kinks}"))
 
     coh = coherence_magic_scatter(cfg)
@@ -321,14 +310,9 @@ def run_all(cfg):
                    f"max_lhs={ent.max_lhs:.12f}"))
 
     audit_blocks = []
-    audit_runs = [
-        ("result1", channels.result1_audit, cfg.result1_trials, "audit_result1"),
-        ("lp", channels.lp_monotonicity_audit, cfg.lp_trials, "audit_lp"),
-        ("selective", channels.selective_audit, cfg.selective_trials, "audit_selective"),
-        ("gso", channels.gso_audit, cfg.gso_trials, "audit_gso"),
-    ]
-    for name, fn, trials, stream in audit_runs:
-        report = fn(n_trials=trials, seed=derived_rng(cfg.seed, stream))
+    for name, audit in channels.AUDIT_SUITES.items():
+        trials = getattr(cfg, f"{name}_trials")
+        report = audit(n_trials=trials, seed=derived_rng(cfg.seed, f"audit_{name}"))
         checks.append((f"audit_{name}", report.passed,
                        f"worst_margin={report.worst_margin:.3e} trials={trials}"))
         audit_blocks.append((name, [[trials, int(report.passed), report.worst_margin]]))

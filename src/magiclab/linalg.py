@@ -27,7 +27,7 @@ def rng_from(seed):
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_pure_state(psi, atol=NORM_ATOL):
+def validate_pure_state(psi):
     """Check normalization of a state vector; return it as a complex array."""
     psi = np.asarray(psi, dtype=complex)
     if not np.all(np.isfinite(psi)):
@@ -35,12 +35,12 @@ def validate_pure_state(psi, atol=NORM_ATOL):
     if psi.ndim != 1 or psi.size < 2:
         raise ValueError(f"pure state must be a vector of length >= 2, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > atol:
+    if abs(norm - 1.0) > NORM_ATOL:
         raise ValueError(f"state vector is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return psi
 
 
-def validate_density_matrix(rho, herm_atol=HERM_ATOL, trace_atol=TRACE_ATOL, psd_atol=PSD_ATOL):
+def validate_density_matrix(rho):
     """Check Hermiticity, unit trace and positivity; return a complex array.
 
     Raises ValueError on the first violated invariant; non-finite entries
@@ -52,21 +52,21 @@ def validate_density_matrix(rho, herm_atol=HERM_ATOL, trace_atol=TRACE_ATOL, psd
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm_err = np.max(np.abs(rho - rho.conj().T))
-    if herm_err > herm_atol:
+    if herm_err > HERM_ATOL:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_err:.3e}")
     trace_err = abs(np.trace(rho) - 1.0)
-    if trace_err > trace_atol:
+    if trace_err > TRACE_ATOL:
         raise ValueError(f"trace is not 1: |tr - 1| = {trace_err:.3e}")
     min_eig = np.linalg.eigvalsh(rho)[0]
-    if min_eig < -psd_atol:
+    if min_eig < -PSD_ATOL:
         raise ValueError(f"not positive semidefinite: min eigenvalue = {min_eig:.3e}")
     return rho
 
 
-def is_density_matrix(rho, **kwargs):
+def is_density_matrix(rho):
     """Boolean form of :func:`validate_density_matrix`."""
     try:
-        validate_density_matrix(rho, **kwargs)
+        validate_density_matrix(rho)
     except ValueError:
         return False
     return True

@@ -5,10 +5,10 @@ coherence by l_p norms of the off-diagonal part, by minimum trace distance
 to the incoherent states, and by the line-sum functional
 :func:`cw_coherence`, computed exactly from the non-vertical striation
 marginals by a one-variable closed form. Entanglement is the negativity of
-the partial transpose. Sum negativity, mana, l1 and l_p coherence and C_w
-have batch kernels over (..., d, d) stacks (of Wigner grids for sum
-negativity, mana and C_w), shared by the scalar forms, the experiments and
-the channel audits.
+the partial transpose. Sum negativity, mana, l1 and l_p coherence, C_w and
+negativity have batch kernels over (..., d, d) stacks (of Wigner grids for
+sum negativity, mana and C_w), shared by the scalar forms, the experiments
+and the channel audits.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stabilizer
-from .linalg import partial_transpose, trace_norm, validate_density_matrix
+from .linalg import partial_transpose, validate_density_matrix
 from .phasespace import _is_prime, striation_marginals, wigner, wigner_batch
 
 
@@ -79,12 +79,11 @@ def lp_coherence_batch(rhos, p):
     return (total ** (1.0 / p))[..., 0, 0]
 
 
-def distance_magic(rho, vertex_set=None):
-    """Minimum trace distance to the stabilizer polytope (qutrit by default)."""
+def distance_magic(rho):
+    """Minimum trace distance to the stabilizer polytope of rho's dimension (2 or 3)."""
     rho = validate_density_matrix(rho)
-    if vertex_set is None:
-        vertex_set = stabilizer.stabilizer_pure_states(rho.shape[0])
-    return stabilizer._polytope_result(rho, vertex_set).distance
+    verts = stabilizer.stabilizer_pure_states(rho.shape[0]).projectors
+    return float(stabilizer.polytope_distance_batch(rho[None], verts)[0][0, 1])
 
 
 def distance_coherence(rho):
@@ -92,14 +91,17 @@ def distance_coherence(rho):
     return stabilizer.incoherent_distance(rho)
 
 
-def negativity(rho, dims, on=1):
-    """Entanglement negativity (||rho^{T_B}||_1 - 1)/2; zero on product states."""
-    return _negativity(validate_density_matrix(rho), dims, on)
+def negativity(rho, dims):
+    """Entanglement negativity (||rho^{T_B}||_1 - 1)/2, clamped at 0; zero on
+    product states."""
+    return float(max(0.0, negativity_batch(validate_density_matrix(rho), dims)))
 
 
-def _negativity(rho, dims, on=1):
-    pt = partial_transpose(rho, dims, on)
-    return float(max(0.0, (trace_norm(pt) - 1.0) / 2.0))
+def negativity_batch(rhos, dims):
+    """(||rho^{T_B}||_1 - 1)/2 of a matrix (d, d) or a stack (..., d, d), without
+    validation and not clamped. rho^{T_A} is the transpose of rho^{T_B}, so
+    either partial transpose gives the same spectrum."""
+    return (np.abs(np.linalg.eigvalsh(partial_transpose(rhos, dims, 1))).sum(axis=-1) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +171,10 @@ def all_monotones(rho, dims=None):
         value, lam = cw_coherence_grid(w)
         out.append(MonotoneReport("cw_coherence", float(value), {"lambda": float(lam)}))
     if d == 3:
-        for name, verts in (("distance_magic", stabilizer.stabilizer_pure_states(3)),
+        for name, verts in (("distance_magic", stabilizer.stabilizer_pure_states(3).projectors),
                             ("distance_coherence", stabilizer.basis_projectors(3))):
-            out.append(MonotoneReport(name, stabilizer._polytope_result(rho, verts).distance))
+            distance = stabilizer.polytope_distance_batch(rho[None], verts)[0][0, 1]
+            out.append(MonotoneReport(name, float(distance)))
     if dims is not None:
-        out.append(MonotoneReport("negativity", _negativity(rho, dims)))
+        out.append(MonotoneReport("negativity", float(max(0.0, negativity_batch(rho, dims)))))
     return out

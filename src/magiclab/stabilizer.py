@@ -30,11 +30,11 @@ negated and clipped to that ball, and the sign pattern of the residual
 rho - sum_i w_i v_i with its near-kernel direction tuned; each state stops
 once upper - lower <= tol. A caller that asks a question of the distances
 rather than their values can also stop a state as soon as its bracket
-answers it: the solver is a generator that yields the brackets at each
-update and takes back the states the caller has decided (`in_polytope`,
-and in `channels` the classifier, `estimate_cm` and the result1 audit).
-The brackets are updated every 10 sweeps, and a decision-directed solve
-also reads them after sweeps 1 and 2, where most of its states are decided.
+answers it: :func:`solve_decided` takes a rule that marks the states whose
+question is answered (`in_polytope`, and in `channels` the classifier,
+`estimate_cm` and the result1 audit). The brackets are updated every 10
+sweeps, and a solve with a rule also reads them after sweeps 1 and 2, where
+most of its states are decided.
 The same minimizer over the computational-basis projectors gives the
 distance to the incoherent states. (A plain Frank-Wolfe
 scheme with exact line search stalls here: the steepest-descent vertex
@@ -91,6 +91,10 @@ class CliffordGroup:
     unitaries: np.ndarray  # (n, d, d)
     words: tuple           # generator word of each element, "" for the identity
     index: MappingProxyType  # phase key -> position
+
+    def __contains__(self, u):
+        """Whether the unitary u is a group element up to global phase."""
+        return _phase_key(np.asarray(u)) in self.index
 
 
 @lru_cache(maxsize=None)
@@ -239,8 +243,8 @@ _RELAX = 1.6      # ADMM over-relaxation of the trace-norm block
 _EARLY_BRACKETS = (1, 2)
 
 
-def _admm(rhos, vertices, tol=1e-9, max_iter=5000, decisive=False):
-    """The solver of :func:`polytope_distance_batch` as a generator.
+def _admm(rhos, vertices, tol, max_iter, decisive):
+    """The solver of :func:`solve_decided` for one problem, as a generator.
 
     After each bracket update it yields the (n, 2) [lower, upper] array,
     which it keeps updating in place, and accepts an optional boolean mask
@@ -329,11 +333,17 @@ def _admm(rhos, vertices, tol=1e-9, max_iter=5000, decisive=False):
     return bounds, w, iters, certified
 
 
-def _solve_until_decided(solvers, decide):
-    """Drive `_admm` generators over the same n states in lockstep. After
-    every bracket update, decide(*bounds) gives a boolean mask of the states
-    whose question is answered, and those stop in every solver. Returns each
-    solver's (bounds, weights, iterations, certified)."""
+def solve_decided(problems, decide=None, tol=1e-9, max_iter=5000):
+    """Solve (rhos, vertices) problems in lockstep; each one's result is the
+    (bounds, weights, iterations, certified) of :func:`polytope_distance_batch`.
+
+    With a `decide` rule the problems hold the same n states: after every
+    bracket update decide(*bounds), given each problem's (n, 2) [lower,
+    upper] array, returns a boolean mask of the states whose question is
+    answered, and those stop in every problem, uncertified. Such a solve
+    also reads its brackets after sweeps 1 and 2 (see `_admm`).
+    """
+    solvers = [_admm(rhos, vertices, tol, max_iter, decide is not None) for rhos, vertices in problems]
     bounds = [None] * len(solvers)
     results = [None] * len(solvers)
     decided = None
@@ -346,13 +356,8 @@ def _solve_until_decided(solvers, decide):
                     results[k] = stop.value
         if all(r is not None for r in results):
             return results
-        decided = decide(*bounds)
-
-
-def _decided_bounds(rhos, vertices, decide):
-    """The [lower, upper] brackets of one batch solve in which each state
-    stops once decide(bounds) marks it (or once certified)."""
-    return _solve_until_decided([_admm(rhos, vertices, decisive=True)], decide)[0][0]
+        if decide is not None:
+            decided = decide(*bounds)
 
 
 def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):
@@ -375,14 +380,7 @@ def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):
     `certified` marks the states whose gap closed to within `tol` before
     `max_iter`.
     """
-    solver = _admm(rhos, vertices, tol=tol, max_iter=max_iter)
-    return _solve_until_decided([solver], lambda bounds: None)[0]
-
-
-def polytope_distance(rho, vertex_set, tol=1e-9, max_iter=5000):
-    """Minimum trace distance from rho to the convex hull of a vertex set,
-    with its certified lower bound."""
-    return _polytope_result(validate_density_matrix(rho), vertex_set, tol, max_iter)
+    return solve_decided([(rhos, vertices)], tol=tol, max_iter=max_iter)[0]
 
 
 def _vertices(vertex_set, d):
@@ -394,10 +392,11 @@ def _vertices(vertex_set, d):
     return verts
 
 
-def _polytope_result(rho, vertex_set, tol=1e-9, max_iter=5000):
-    """:func:`polytope_distance` of an already validated rho."""
-    verts = _vertices(vertex_set, rho.shape[0])
-    bounds, w, iters, certified = polytope_distance_batch(rho[None], verts, tol=tol, max_iter=max_iter)
+def polytope_distance(rho, vertex_set):
+    """Minimum trace distance from rho to the convex hull of a vertex set,
+    with its certified lower bound."""
+    rho = validate_density_matrix(rho)
+    bounds, w, iters, certified = polytope_distance_batch(rho[None], _vertices(vertex_set, rho.shape[0]))
     lower, upper = bounds[0]
     return PolytopeResult(distance=float(upper), lower=float(lower), gap=float(upper - lower),
                           weights=w[0], iterations=int(iters[0]), certified=bool(certified[0]))
@@ -410,7 +409,8 @@ def in_polytope(rho, vertex_set, tol=1e-7):
     still straddles tol. The solve stops as soon as one of the first two holds."""
     rho = validate_density_matrix(rho)
     verts = _vertices(vertex_set, rho.shape[0])
-    lower, upper = _decided_bounds(rho[None], verts, lambda b: (b[:, 1] <= tol) | (b[:, 0] > tol))[0]
+    bounds = solve_decided([(rho[None], verts)], lambda b: (b[:, 1] <= tol) | (b[:, 0] > tol))[0][0]
+    lower, upper = bounds[0]
     if upper <= tol:
         return True
     if lower > tol:
@@ -418,7 +418,7 @@ def in_polytope(rho, vertex_set, tol=1e-7):
     return None
 
 
-def incoherent_distance(rho, tol=1e-9, max_iter=5000):
+def incoherent_distance(rho):
     """Minimum trace distance to the diagonal (incoherent) states."""
     rho = validate_density_matrix(rho)
-    return _polytope_result(rho, basis_projectors(rho.shape[0]), tol, max_iter).distance
+    return float(polytope_distance_batch(rho[None], basis_projectors(rho.shape[0]))[0][0, 1])

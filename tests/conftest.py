@@ -159,7 +159,8 @@ def result1_oracle(n_trials, seed, tol):
     with no pruning."""
     from magiclab import channels
 
-    rhos, images = channels._result1_pairs(n_trials, np.random.default_rng(seed))
+    rhos, outcomes = channels._incoherent_outcomes(n_trials, np.random.default_rng(seed))
+    images = outcomes.sum(axis=1)
     magic, _, _, _ = stabilizer.polytope_distance_batch(
         images, stabilizer.stabilizer_pure_states(3).projectors)
     coh, _, _, _ = stabilizer.polytope_distance_batch(rhos, stabilizer.basis_projectors(3))

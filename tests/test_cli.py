@@ -98,6 +98,18 @@ def test_audit_rejects_trial_count_below_one(n):
     assert res.stdout == ""
 
 
+def test_unallocatable_sizes_are_an_error(tmp_path):
+    # numpy refuses these requests of tens of PiB at once, so nothing is allocated
+    out = tmp_path / "coh.csv"
+    for args in (["scatter-coherence", "--samples", "1000000000000000", "--out", str(out)],
+                 ["audit", "--suite", "lp", "--n", "1000000000000000"]):
+        res = run_cli(*args)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert res.stdout == ""
+    assert not out.exists()
+
+
 def test_run_all_rejects_zero_trials_in_config(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("lp_trials=0\n")

@@ -214,6 +214,19 @@ def test_negativity_local_unitary_invariant():
         assert abs(before - after) < 1e-10
 
 
+def test_negativity_batch_rows_match_the_scalar_form():
+    # the scalar form clamps the batch kernel's row at 0, bit for bit; the
+    # kernel transposes the second factor, and the first gives the same spectrum
+    rng = np.random.default_rng(58)
+    rhos = np.concatenate([linalg.ginibre_dm_batch(40, 6, 6, rng), linalg.haar_pure_batch(20, 6, rng),
+                           linalg.tensor(linalg.ginibre_dm_batch(10, 3, 3, rng),
+                                         linalg.ginibre_dm_batch(10, 2, 2, rng))])
+    batch = mo.negativity_batch(rhos, (3, 2))
+    assert all(mo.negativity(rho, (3, 2)) == max(0.0, row) for rho, row in zip(rhos, batch))
+    on_a = (np.abs(np.linalg.eigvalsh(linalg.partial_transpose(rhos, (3, 2), 0))).sum(axis=1) - 1) / 2
+    assert np.max(np.abs(on_a - batch)) <= 1e-14
+
+
 def test_negativity_requires_dims():
     with pytest.raises(ValueError):
         mo.negativity(linalg.maximally_mixed(6), (4, 2))

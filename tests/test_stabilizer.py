@@ -117,6 +117,14 @@ def test_clifford_group_enumeration():
         st.clifford_group(5)
 
 
+def test_clifford_group_membership_up_to_phase():
+    for d, size in ((2, 24), (3, 216)):
+        group = st.clifford_group(d)
+        phases = np.exp(2j * np.pi * np.arange(size) / 7)
+        assert all(phase * u in group for phase, u in zip(phases, group.unitaries))
+    assert np.diag([1.0, np.exp(0.3j), 1.0]) not in st.clifford_group(3)
+
+
 def test_vertex_set_cached_read_only():
     vset = st.stabilizer_pure_states(3)
     assert st.stabilizer_pure_states(3) is vset
@@ -203,8 +211,8 @@ def test_stabilizer_solve_sweep_budget(qutrit_vertices):
 
 @pytest.mark.parametrize("kind", ["stabilizer", "basis"])
 def test_early_brackets_change_only_when_a_state_stops(qutrit_vertices, kind):
-    # a decisive solve also reads its brackets at sweeps 1 and 2; with a
-    # decision that never fires, only certification can stop a state there
+    # a solve with a decide rule also reads its brackets at sweeps 1 and 2;
+    # with a rule that never fires, only certification can stop a state there
     # (the maximally mixed state, at the centre of both polytopes, does), and
     # every other state must iterate bit for bit as in the plain solve
     verts = qutrit_vertices.projectors if kind == "stabilizer" else st.basis_projectors(3)
@@ -212,9 +220,8 @@ def test_early_brackets_change_only_when_a_state_stops(qutrit_vertices, kind):
     rhos = np.concatenate([linalg.maximally_mixed(3)[None], linalg.ginibre_dm_batch(100, 3, 3, rng),
                            linalg.haar_pure_batch(100, 3, rng)])
     never = lambda bounds: np.zeros(len(bounds), dtype=bool)  # noqa: E731
-    early, w_early, it_early, ok_early = st._solve_until_decided(
-        [st._admm(rhos, verts, decisive=True)], never)[0]
-    plain, w_plain, it_plain, ok_plain = st._solve_until_decided([st._admm(rhos, verts)], never)[0]
+    early, w_early, it_early, ok_early = st.solve_decided([(rhos, verts)], never)[0]
+    plain, w_plain, it_plain, ok_plain = st.solve_decided([(rhos, verts)])[0]
     assert ok_early.all() and ok_plain.all()
     assert it_early[0] == 1 and it_plain[0] == 10
     assert np.all(it_early <= it_plain)
