@@ -23,7 +23,7 @@ for name, chan in (("identity", identity_channel(2)),
                    ("dephasing", dephasing_channel(2)),
                    ("Fourier unitary", unitary_channel(clifford_generators(2)[2])),
                    ("random incoherent", sample_incoherent_channel(2, 3, rng))):
-    flags = classify(chan, verts2, seed=1)
+    flags = classify(chan, verts2)
     print(f"  {name:<18} incoherent={str(flags.incoherent):<6} "
           f"monomial-unitary={str(flags.incoherent_clifford_unitary):<6} "
           f"stab-preserving={str(flags.stabilizer_preserving):<6} "

@@ -15,11 +15,11 @@ monotone under the incoherent stabilizer protocol, l1 is a strong monotone
 under selective incoherent measurements, and only the identity fixes every
 stabilizer state. Clifford unitaries come from `stabilizer.clifford_group`.
 
-The classifier, `estimate_cm` and the result1 audit solve polytope distances
-only as far as their question needs: each state stops once its certified
-bracket decides the answer (result1 branches and bounds on the margin of
-each pair), and every state that could still change the answer is solved
-to the full certified gap.
+The classifier reads stabilizer preservation off the polytope's facets.
+`estimate_cm` and the result1 audit solve distances only as far as their
+question needs: each state stops once its certified bracket decides the
+answer (result1 branches and bounds on the margin of each pair), and every
+state that could still change the answer is solved to the certified gap.
 """
 
 from dataclasses import dataclass, field
@@ -189,7 +189,7 @@ def is_genuinely_stabilizer(channel, vertex_set, tol=1e-7):
 
 @dataclass(frozen=True)
 class HierarchyFlags:
-    """Classifier facets of one channel against the free-operation hierarchy."""
+    """Where one channel sits in the free-operation hierarchy, flag by flag."""
     incoherent: bool
     incoherent_clifford_unitary: bool
     stabilizer_preserving: bool
@@ -199,29 +199,22 @@ class HierarchyFlags:
 def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
     """Hierarchy flags for a channel. A single Kraus matrix is an incoherent
     Clifford unitary iff it is incoherent and in the enumerated group, modulo
-    phase. Stabilizer preservation is probed on the vertices themselves,
-    which decide it exactly (the channel is linear and the polytope is their
-    hull), and on `n_probe` random vertex mixtures, solved as one batch: the
-    channel is preserving iff every probe image's upper bound is within tol
-    of the polytope. The solve stops as soon as that is decided: when one
-    probe's lower bound exceeds tol, or when every upper bound is <= tol."""
-    verts = vertex_set.projectors
+    phase. Stabilizer preservation is decided exactly from the vertex images,
+    since the channel is linear and the polytope is the vertices' hull: the
+    channel is preserving iff min tr(F image) >= 1 - tol over the images and
+    the facets F of `stabilizer.stabilizer_facets`. So `tol` is a facet slack,
+    not a trace distance; a violation v puts an image at trace distance at
+    least v / sqrt(5). `seed` and `n_probe` are accepted and have no effect."""
     d = vertex_set.dim
     if not channel.dim_in == channel.dim_out == d:
         raise ValueError(f"channel maps {channel.dim_in} -> {channel.dim_out}, "
                          f"vertices have dimension {d}")
     incoh = is_incoherent(channel)
     clifford = incoh and len(channel.kraus) == 1 and channel.kraus[0] in stabilizer.clifford_group(d)
-    weights = rng_from(seed).dirichlet(np.ones(len(verts)), size=n_probe)
-    probes = np.concatenate([verts, np.einsum("nm,mij->nij", weights, verts)])
-    images = _images(channel.kraus, probes).sum(axis=1)
-
-    def decided(b):  # one probe certainly outside, or every probe within tol
-        return np.full(len(b), np.any(b[:, 0] > tol) or np.all(b[:, 1] <= tol))
-
-    bounds = stabilizer.solve_decided([(images, verts)], decided)[0][0]
+    images = _images(channel.kraus, vertex_set.projectors).sum(axis=1)
+    facet_values = np.einsum("fij,nji->nf", stabilizer.stabilizer_facets(d), images).real
     return HierarchyFlags(incoherent=incoh, incoherent_clifford_unitary=clifford,
-                          stabilizer_preserving=bool(np.all(bounds[:, 1] <= tol)),
+                          stabilizer_preserving=bool(facet_values.min() >= 1.0 - tol),
                           genuinely_stabilizer=is_genuinely_stabilizer(channel, vertex_set, tol))
 
 

@@ -77,7 +77,7 @@ class ExperimentConfig:
                 raise ValueError(f"{suite}_trials must be >= 1")
 
     def p_grid(self):
-        n = int(round((self.p_stop - self.p_start) / self.p_step))
+        n = int(np.floor((self.p_stop - self.p_start) / self.p_step + 1e-9))  # never past p_stop
         return self.p_start + self.p_step * np.arange(n + 1)
 
     @classmethod

@@ -23,8 +23,6 @@ from .linalg import validate_density_matrix
 
 SQRT3 = np.sqrt(3.0)
 
-_ppo_cache = {}
-
 
 def _is_prime(n):
     if n < 2:
@@ -63,6 +61,7 @@ def displacement(d, p, q):
     return phase * (zp @ xq)
 
 
+@lru_cache(maxsize=None)
 def phase_point_ops(d):
     """All d^2 phase-point operators, as an array of shape (d, d, d, d).
 
@@ -70,8 +69,6 @@ def phase_point_ops(d):
     they sum to d * I. The array is cached per dimension and read-only.
     """
     _require_odd_prime(d)
-    if d in _ppo_cache:
-        return _ppo_cache[d]
     a0 = np.zeros((d, d), dtype=complex)
     for p in range(d):
         for q in range(d):
@@ -83,7 +80,6 @@ def phase_point_ops(d):
             dp = displacement(d, p, q)
             ops[p, q] = dp @ a0 @ dp.conj().T
     ops.setflags(write=False)
-    _ppo_cache[d] = ops
     return ops
 
 
@@ -139,10 +135,6 @@ class Striation:
     """
     label: str
     lines: tuple
-
-    @property
-    def dim(self):
-        return len(self.lines)
 
 
 def striations(d):

@@ -5,8 +5,8 @@ breadth-first search over words in the generators X (shift), Z (clock),
 F (Fourier) and S (phase), modulo global phase: 24 elements for d = 2, 216
 for d = 3. The vertex set is the group's orbit of |0><0|, deduplicated by
 phase: the twelve qutrit vertices (the eigenvectors of the four mutually
-unbiased bases) and the six octahedron vertices of the qubit. Both are
-cached per dimension, with read-only arrays, and built on first use.
+unbiased bases) and the six octahedron vertices of the qubit. Both, and the
+hull's exact facets (`stabilizer_facets`), are cached per dimension on first use.
 
 Distances are minimum trace distances to the convex hull of a vertex list,
 min over simplex weights w of (1/2)||rho - sum_i w_i v_i||_1. The solver is
@@ -31,10 +31,10 @@ rho - sum_i w_i v_i with its near-kernel direction tuned; each state stops
 once upper - lower <= tol. A caller that asks a question of the distances
 rather than their values can also stop a state as soon as its bracket
 answers it: :func:`solve_decided` takes a rule that marks the states whose
-question is answered (`in_polytope`, and in `channels` the classifier,
-`estimate_cm` and the result1 audit). The brackets are updated every 10
-sweeps, and a solve with a rule also reads them after sweeps 1 and 2, where
-most of its states are decided.
+question is answered (`in_polytope`, and in `channels` `estimate_cm` and
+the result1 audit). The brackets are updated every 10 sweeps, and a solve
+with a rule also reads them after sweeps 1 and 2, where most of its states
+are decided.
 The same minimizer over the computational-basis projectors gives the
 distance to the incoherent states. (A plain Frank-Wolfe
 scheme with exact line search stalls here: the steepest-descent vertex
@@ -44,6 +44,7 @@ eigenvalue crossings where the optimum sits.)
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 
 import numpy as np
@@ -150,6 +151,20 @@ def stabilizer_pure_states(d):
     _vertex_cache[d] = StabilizerVertexSet(dim=d, kets=kets, projectors=projectors,
                                            words=tuple(group.words[i] + "|0>" for i in picked))
     return _vertex_cache[d]
+
+
+@lru_cache(maxsize=None)
+def stabilizer_facets(d):
+    """The facets of the stabilizer polytope, d in {2, 3}: rho is a member iff
+    tr(F rho) >= 1 for each F of this read-only (d^(d+1), d, d) stack. F sums
+    one projector from each of the d+1 mutually unbiased bases (vertices i, j
+    share one iff |<i|j>|^2 != 1/d); the 81 qutrit F include the nine A_u + I."""
+    verts = stabilizer_pure_states(d)
+    same_basis = np.abs(np.abs(verts.kets.conj() @ verts.kets.T) ** 2 - 1.0 / d) > 1e-9
+    bases = dict.fromkeys(tuple(np.flatnonzero(row)) for row in same_basis)
+    facets = verts.projectors[np.array(list(product(*bases)))].sum(axis=1)
+    facets.setflags(write=False)
+    return facets
 
 
 def basis_projectors(d):

@@ -311,6 +311,24 @@ def test_classify_early_stop_matches_full_solve(qutrit_vertices, u):
     assert flags.stabilizer_preserving == bool(np.all(bounds[:, 1] <= tol))
 
 
+def test_facet_verdict_matches_the_solver_rule(qutrit_vertices):
+    # the solver rule: preserving iff every vertex image's certified upper bound <= 1e-7
+    rng = np.random.default_rng(7)
+    unitaries = [np.eye(3), st.clifford_generators(3)[2], np.diag([1.0, np.exp(0.3j), 1.0])]
+    chans = ([ch.dephasing_channel(3)] + [ch.unitary_channel(u) for u in unitaries]
+             + [ch.sample_incoherent_channel(3, int(rng.integers(1, 10)), rng) for _ in range(40)]
+             + [ch.sample_channel(3, int(rng.integers(1, 10)), rng) for _ in range(40)]
+             + [ch.unitary_channel(u) for u in st.clifford_group(3).unitaries[::7]])
+    verts = qutrit_vertices.projectors
+    images = np.concatenate([ch.apply(chan, v)[None] for chan in chans for v in verts])
+    bounds, _, _, _ = st.polytope_distance_batch(images, verts)
+    by_channel = bounds[:, 1].reshape(len(chans), len(verts))
+    expected = np.all(by_channel <= 1e-7, axis=1)
+    got = [ch.classify(chan, qutrit_vertices).stabilizer_preserving for chan in chans]
+    assert got == expected.tolist()
+    assert 0 < sum(got) < len(chans)
+
+
 @pytest.mark.parametrize("audit", sorted(ch.AUDIT_SUITES))
 @pytest.mark.parametrize("n_trials", [0, -1])
 def test_audits_reject_no_trials(audit, n_trials):

@@ -37,6 +37,14 @@ def test_config_validation():
     assert ex.ExperimentConfig(rank=7).rank == 7  # induced measure, documented
 
 
+def test_p_grid_stops_at_p_stop():
+    # a step that does not divide the range stops short of p_stop instead of passing it
+    assert ex.ExperimentConfig(p_step=0.6).p_grid().tolist() == [0.0, 0.6]
+    assert ex.ExperimentConfig(p_start=0.1, p_stop=0.3, p_step=0.1).p_grid().size == 3
+    # the default grid keeps its 101 points, bit for bit
+    assert np.array_equal(ex.ExperimentConfig().p_grid(), 0.0 + 0.01 * np.arange(101))
+
+
 def test_rank_above_dimension_samples_full_rank_states():
     # the documented meaning of rank > 3 for the qutrit scatter's mixed samples
     rng = np.random.default_rng(12)

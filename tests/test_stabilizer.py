@@ -134,6 +134,64 @@ def test_vertex_set_cached_read_only():
         vset.kets[0, 0] = 0.0
 
 
+def _traceless_basis(d):
+    """Generalized Gell-Mann matrices, orthonormal under tr(A B): (d^2 - 1, d, d)."""
+    basis = []
+    for j, k in itertools.combinations(range(d), 2):
+        for entry in (1.0, 1.0j):
+            g = np.zeros((d, d), dtype=complex)
+            g[j, k], g[k, j] = entry, np.conj(entry)
+            basis.append(g / np.sqrt(2.0))
+    for n in range(1, d):
+        basis.append(np.diag(np.r_[np.ones(n), -n, np.zeros(d - n - 1)]) / np.sqrt(n * (n + 1)))
+    return np.array(basis)
+
+
+@pytest.mark.parametrize("d, n_facets", [(2, 8), (3, 81)])
+def test_facets_are_the_qhull_hyperplanes(d, n_facets):
+    # rho = I/d + sum_k x_k G_k, so tr(F rho) >= 1 reads -f.x + (1 - tr F / d) <= 0
+    # with f_k = tr(F G_k): Qhull's form a.x + b <= 0, once scaled to a unit normal
+    from scipy.spatial import ConvexHull
+
+    basis = _traceless_basis(d)
+    verts = st.stabilizer_pure_states(d).projectors
+    qhull = ConvexHull(np.einsum("kij,nji->nk", basis, verts).real).equations
+    facets = st.stabilizer_facets(d)
+    assert facets.shape == (n_facets, d, d) and qhull.shape[0] == n_facets
+    f = np.einsum("kij,fji->fk", basis, facets).real
+    offset = 1.0 - np.einsum("fii->f", facets).real / d
+    ours = np.column_stack([-f, offset]) / np.linalg.norm(f, axis=1)[:, None]
+    # a one-to-one match: every facet is a Qhull hyperplane and none is left over
+    gap = np.max(np.abs(ours[:, None] - qhull[None]), axis=2)
+    assert np.max(np.min(gap, axis=1)) <= 1e-9
+    assert sorted(np.argmin(gap, axis=1)) == list(range(n_facets))
+
+
+def test_wigner_facets_are_stabilizer_facets():
+    facets = st.stabilizer_facets(3)
+    for a in ps.phase_point_ops(3).reshape(9, 3, 3):
+        assert np.min(np.max(np.abs(facets - (a + np.eye(3))), axis=(1, 2))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_vertex_meets_every_facet(d):
+    facets = st.stabilizer_facets(d)
+    values = np.einsum("fij,nji->nf", facets, st.stabilizer_pure_states(d).projectors).real
+    assert abs(values.min() - 1.0) <= 1e-12
+    # every vertex lies on some facet, and every facet holds some vertex
+    assert np.max(np.abs(values.min(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(values.min(axis=0) - 1.0)) <= 1e-12
+
+
+def test_facets_cached_read_only():
+    facets = st.stabilizer_facets(3)
+    assert st.stabilizer_facets(3) is facets
+    with pytest.raises(ValueError):
+        facets[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        st.stabilizer_facets(5)
+
+
 def test_enumeration_rejects_unsupported():
     with pytest.raises(ValueError):
         st.stabilizer_pure_states(5)
@@ -352,6 +410,9 @@ def test_membership_agrees_with_lp_oracle(qutrit_vertices):
         res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * m, method="highs")
         return res.status == 0
 
+    def facet_min(rho):
+        return np.einsum("fij,ji->f", st.stabilizer_facets(3), rho).real.min()
+
     rng = np.random.default_rng(34)
     for _ in range(20):
         wts = rng.dirichlet(np.ones(m))
@@ -360,8 +421,10 @@ def test_membership_agrees_with_lp_oracle(qutrit_vertices):
         assert st.in_polytope(inside, qutrit_vertices) is True
         # a member is at distance 0, so no lower bound may certify it outside
         assert st.polytope_distance(inside, qutrit_vertices).lower <= 1e-12
+        assert facet_min(inside) >= 1.0 - 1e-12
     strange = linalg.dm_from_pure(linalg.strange_state())
     assert not lp_member(strange)
+    assert abs(facet_min(strange)) <= 1e-12  # the Wigner facet at the origin: 3 W(0, 0) + 1 = 0
     assert st.in_polytope(strange, qutrit_vertices) is False
     # and the dual bound alone proves the LP's infeasibility verdict
     assert st.polytope_distance(strange, qutrit_vertices).lower > 0.5 - 1e-9
