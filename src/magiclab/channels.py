@@ -201,10 +201,9 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
     Clifford unitary iff it is incoherent and in the enumerated group, modulo
     phase. Stabilizer preservation is decided exactly from the vertex images,
     since the channel is linear and the polytope is the vertices' hull: the
-    channel is preserving iff min tr(F image) >= 1 - tol over the images and
-    the facets F of `stabilizer.stabilizer_facets`. So `tol` is a facet slack,
-    not a trace distance; a violation v puts an image at trace distance at
-    least v / sqrt(5). `seed` and `n_probe` are accepted and have no effect."""
+    channel is preserving iff every image passes `stabilizer.in_polytope_batch`
+    with the facet slack `tol`. `seed` and `n_probe` are accepted and have no
+    effect."""
     d = vertex_set.dim
     if not channel.dim_in == channel.dim_out == d:
         raise ValueError(f"channel maps {channel.dim_in} -> {channel.dim_out}, "
@@ -212,26 +211,25 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
     incoh = is_incoherent(channel)
     clifford = incoh and len(channel.kraus) == 1 and channel.kraus[0] in stabilizer.clifford_group(d)
     images = _images(channel.kraus, vertex_set.projectors).sum(axis=1)
-    facet_values = np.einsum("fij,nji->nf", stabilizer.stabilizer_facets(d), images).real
     return HierarchyFlags(incoherent=incoh, incoherent_clifford_unitary=clifford,
-                          stabilizer_preserving=bool(facet_values.min() >= 1.0 - tol),
+                          stabilizer_preserving=bool(stabilizer.in_polytope_batch(images, tol).all()),
                           genuinely_stabilizer=is_genuinely_stabilizer(channel, vertex_set, tol))
 
 
 def estimate_cm(rho, n_trials, seed=None):
     """Certified lower bound on the supremum of polytope distance over
-    incoherent images of rho: the largest dual lower bound over the identity,
-    the incoherent Clifford unitaries and `n_trials` sampled incoherent
-    channels (each with a uniform Kraus count in 1..d^2).
-    An image stops being solved once its upper bound falls below the best
-    lower bound so far, since it can no longer raise the maximum.
+    incoherent images of rho: the largest dual lower bound over rho and its
+    images under `n_trials` sampled incoherent channels (each with a uniform
+    Kraus count in 1..d^2). Incoherent Clifford images are not tried: they
+    permute the vertices, so each has exactly rho's distance. An image stops
+    being solved once its upper bound falls below the best lower bound so
+    far, since it can no longer raise the maximum.
     """
     rho = validate_density_matrix(rho)
     d = rho.shape[0]
     rng = rng_from(seed)
     counts = rng.integers(1, d * d + 1, size=n_trials)
-    images = np.concatenate([rho[None], _images(incoherent_clifford_unitaries(d), rho),
-                             _images(_incoherent_kraus(counts, d, rng), rho).sum(axis=1)])
+    images = np.concatenate([rho[None], _images(_incoherent_kraus(counts, d, rng), rho).sum(axis=1)])
     problem = (images, stabilizer.stabilizer_pure_states(d).projectors)
     bounds = stabilizer.solve_decided([problem], lambda b: b[:, 1] < np.max(b[:, 0]))[0][0]
     return float(np.max(bounds[:, 0]))

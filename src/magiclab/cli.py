@@ -33,7 +33,7 @@ def cmd_wigner(args):
     rho = _load_dm(args.state)
     w = wigner(rho)
     lines = [",".join(_fmt(x) for x in row) for row in w]
-    msn = monotones.sum_negativity_grid(w)
+    msn = max(0.0, monotones.sum_negativity_grid(w))
     mana = monotones.mana_grid(w, args.mana_base)
     lines.append(f"# sum_negativity={_fmt(msn)} mana={_fmt(mana)}")
     text = "\n".join(lines) + "\n"

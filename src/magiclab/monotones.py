@@ -29,12 +29,13 @@ class MonotoneReport:
 
 
 def sum_negativity(rho):
-    """sum_u |W_u| - 1 of the discrete Wigner grid; zero iff the grid is nonnegative."""
-    return float(sum_negativity_grid(wigner(rho)))
+    """sum_u |W_u| - 1 of the Wigner grid, clamped at 0; zero iff the grid is nonnegative."""
+    return float(max(0.0, sum_negativity_grid(wigner(rho))))
 
 
 def sum_negativity_grid(w):
-    """Sum negativity straight from a precomputed Wigner grid (or stack of grids)."""
+    """Sum negativity from a precomputed Wigner grid (or stack of grids), not
+    clamped: a nonnegative grid can read a rounding-level negative value."""
     w = np.asarray(w, dtype=float)
     return np.abs(w).sum(axis=(-2, -1)) - 1.0
 
@@ -46,10 +47,10 @@ def mana(rho, base=None):
 
 
 def mana_grid(w, base=None):
-    """Mana straight from a precomputed Wigner grid (or stack of grids)."""
+    """Mana from a precomputed Wigner grid (or stack of grids), its sum negativity clamped at 0."""
     if base is not None and not (0.0 < base < np.inf and base != 1.0):
         raise ValueError(f"mana base must be finite, positive and not 1, got {base}")
-    total = sum_negativity_grid(w) + 1.0
+    total = np.maximum(sum_negativity_grid(w), 0.0) + 1.0
     return np.log(total) if base is None else np.log(total) / np.log(base)
 
 
@@ -65,9 +66,9 @@ def l1_coherence_batch(rhos):
 
 
 def lp_coherence(rho, p):
-    """(sum_{i != j} |rho_ij|^p)^{1/p} for p >= 1."""
-    if p < 1:
-        raise ValueError(f"l_p coherence needs p >= 1, got p={p}")
+    """(sum_{i != j} |rho_ij|^p)^{1/p} for finite p >= 1."""
+    if not 1 <= p < np.inf:
+        raise ValueError(f"l_p coherence needs a finite p >= 1, got p={p}")
     return float(lp_coherence_batch(validate_density_matrix(rho), p))
 
 
@@ -163,7 +164,7 @@ def all_monotones(rho, dims=None):
     wigner_ok = d % 2 == 1 and _is_prime(d)
     if wigner_ok:
         w = wigner_batch(rho[None], d)[0]
-        out.append(MonotoneReport("sum_negativity", float(sum_negativity_grid(w))))
+        out.append(MonotoneReport("sum_negativity", float(max(0.0, sum_negativity_grid(w)))))
         out.append(MonotoneReport("mana", float(mana_grid(w))))
     out.append(MonotoneReport("l1_coherence", float(l1_coherence_batch(rho))))
     out.append(MonotoneReport("l2_coherence", float(lp_coherence_batch(rho, 2))))

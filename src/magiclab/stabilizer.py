@@ -7,6 +7,7 @@ for d = 3. The vertex set is the group's orbit of |0><0|, deduplicated by
 phase: the twelve qutrit vertices (the eigenvectors of the four mutually
 unbiased bases) and the six octahedron vertices of the qubit. Both, and the
 hull's exact facets (`stabilizer_facets`), are cached per dimension on first use.
+Membership is read off the facets alone, with no solve (`in_polytope_batch`).
 
 Distances are minimum trace distances to the convex hull of a vertex list,
 min over simplex weights w of (1/2)||rho - sum_i w_i v_i||_1. The solver is
@@ -31,10 +32,9 @@ rho - sum_i w_i v_i with its near-kernel direction tuned; each state stops
 once upper - lower <= tol. A caller that asks a question of the distances
 rather than their values can also stop a state as soon as its bracket
 answers it: :func:`solve_decided` takes a rule that marks the states whose
-question is answered (`in_polytope`, and in `channels` `estimate_cm` and
-the result1 audit). The brackets are updated every 10 sweeps, and a solve
-with a rule also reads them after sweeps 1 and 2, where most of its states
-are decided.
+question is answered (in `channels`, `estimate_cm` and the result1 audit).
+The brackets are updated every 10 sweeps, and a solve with a rule also
+reads them after sweeps 1 and 2, where most of its states are decided.
 The same minimizer over the computational-basis projectors gives the
 distance to the incoherent states. (A plain Frank-Wolfe
 scheme with exact line search stalls here: the steepest-descent vertex
@@ -165,6 +165,14 @@ def stabilizer_facets(d):
     facets = verts.projectors[np.array(list(product(*bases)))].sum(axis=1)
     facets.setflags(write=False)
     return facets
+
+
+def in_polytope_batch(rhos, tol=1e-7):
+    """Polytope membership per matrix of a (..., d, d) stack, unvalidated: min
+    tr(F rho) >= 1 - tol over the `stabilizer_facets` F. `tol` is a facet slack;
+    a violation s puts rho at trace distance >= s / sqrt(5) from the polytope."""
+    facets = stabilizer_facets(np.shape(rhos)[-1])
+    return np.einsum("fij,...ji->...f", facets, rhos).real.min(axis=-1) >= 1.0 - tol
 
 
 def basis_projectors(d):
@@ -398,39 +406,28 @@ def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):
     return solve_decided([(rhos, vertices)], tol=tol, max_iter=max_iter)[0]
 
 
-def _vertices(vertex_set, d):
-    """The projector stack of a vertex set (or of a plain vertex list), checked
-    against the state dimension d."""
-    verts = vertex_set.projectors if isinstance(vertex_set, StabilizerVertexSet) else np.asarray(vertex_set)
-    if verts.shape[1] != d:
-        raise ValueError(f"dimension mismatch: state {d}, vertices {verts.shape[1]}")
-    return verts
-
-
 def polytope_distance(rho, vertex_set):
-    """Minimum trace distance from rho to the convex hull of a vertex set,
-    with its certified lower bound."""
+    """Minimum trace distance from rho to the convex hull of a vertex set (or
+    of a plain vertex list), with its certified lower bound."""
     rho = validate_density_matrix(rho)
-    bounds, w, iters, certified = polytope_distance_batch(rho[None], _vertices(vertex_set, rho.shape[0]))
+    verts = vertex_set.projectors if isinstance(vertex_set, StabilizerVertexSet) else np.asarray(vertex_set)
+    if verts.shape[1] != rho.shape[0]:
+        raise ValueError(f"dimension mismatch: state {rho.shape[0]}, vertices {verts.shape[1]}")
+    bounds, w, iters, certified = polytope_distance_batch(rho[None], verts)
     lower, upper = bounds[0]
     return PolytopeResult(distance=float(upper), lower=float(lower), gap=float(upper - lower),
                           weights=w[0], iterations=int(iters[0]), certified=bool(certified[0]))
 
 
 def in_polytope(rho, vertex_set, tol=1e-7):
-    """Whether the minimum trace distance to the polytope is at most tol, read
-    off the certified bracket: True once the upper bound is <= tol, False once
-    the lower bound exceeds it, and None (undecided) if the final bracket
-    still straddles tol. The solve stops as soon as one of the first two holds."""
+    """Whether rho lies in the hull of a `StabilizerVertexSet`, decided exactly
+    from the facets by :func:`in_polytope_batch` with the facet slack `tol`."""
     rho = validate_density_matrix(rho)
-    verts = _vertices(vertex_set, rho.shape[0])
-    bounds = solve_decided([(rho[None], verts)], lambda b: (b[:, 1] <= tol) | (b[:, 0] > tol))[0][0]
-    lower, upper = bounds[0]
-    if upper <= tol:
-        return True
-    if lower > tol:
-        return False
-    return None
+    if rho.shape[0] != vertex_set.dim:
+        raise ValueError(f"dimension mismatch: state {rho.shape[0]}, vertices {vertex_set.dim}")
+    if not np.isfinite(tol):
+        raise ValueError(f"in_polytope needs a finite tol, got {tol}")
+    return bool(in_polytope_batch(rho, tol))
 
 
 def incoherent_distance(rho):

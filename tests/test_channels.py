@@ -195,6 +195,21 @@ def test_incoherent_cliffords_closed_under_product():
         assert ch._is_monomial(u)
 
 
+@pytest.mark.parametrize("d, count", [(2, 8), (3, 54)])
+def test_incoherent_cliffords_permute_vertices_and_facets(d, count):
+    # the symmetry that lets estimate_cm skip rho's Clifford images: each
+    # monomial Clifford maps the vertex projectors and the facet operators
+    # onto themselves as sets, so u rho u^dag has exactly rho's distance
+    monos = ch.incoherent_clifford_unitaries(d)
+    assert len(monos) == count
+    for ops in (st.stabilizer_pure_states(d).projectors, st.stabilizer_facets(d)):
+        images = monos[:, None] @ ops @ monos[:, None].conj().swapaxes(-1, -2)
+        gaps = np.max(np.abs(images[:, :, None] - ops[None, None]), axis=(-2, -1))
+        match = np.argmin(gaps, axis=2)
+        assert np.max(np.min(gaps, axis=2)) <= 1e-12
+        assert all(sorted(row) == list(range(len(ops))) for row in match.tolist())
+
+
 def test_is_genuinely_stabilizer(qubit_vertices):
     assert ch.is_genuinely_stabilizer(ch.identity_channel(2), qubit_vertices)
     assert not ch.is_genuinely_stabilizer(ch.dephasing_channel(2), qubit_vertices)

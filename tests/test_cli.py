@@ -1,9 +1,12 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magiclab
 from magiclab import linalg, phasespace as ps, stateio
 
 
@@ -175,3 +178,15 @@ def test_run_all_two_processes_byte_identical(tmp_path):
     assert "overall=PASS" in res_a.stdout
     for name in ("sweep.csv", "coherence_scatter.csv", "entanglement_scatter.csv", "audits.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_only_the_cli_prints():
+    # the library reports through logging and return values; stdout is the CLI's
+    printing = []
+    for path in sorted(Path(magiclab.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+                printing.append(f"{path.name}:{node.lineno}")
+    assert printing == []

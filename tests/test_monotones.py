@@ -45,6 +45,21 @@ def test_mana_values(named_states):
     assert abs(mo.mana(named_states["strange"], base=2) - np.log2(5 / 3)) < 1e-10
 
 
+def test_scalar_negativity_is_exactly_zero_on_the_maximally_mixed_qutrit(tmp_path, capsys):
+    # the grid sums to 1 - 1.1e-16 here; the sweep and scatter CSVs keep that
+    # unclamped value, every scalar path clamps it at 0
+    mixed = linalg.maximally_mixed(3)
+    assert mo.sum_negativity_grid(ps.wigner(mixed)) < 0.0
+    assert mo.sum_negativity(mixed) == 0.0
+    assert mo.mana(mixed) == 0.0 and mo.mana(mixed, base=2) == 0.0
+    values = {r.name: r.value for r in mo.all_monotones(mixed)}
+    assert values["sum_negativity"] == values["mana"] == 0.0
+    path = tmp_path / "mixed.txt"
+    stateio.write_state(path, mixed)
+    assert cli.main(["wigner", "--state", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "# sum_negativity=0 mana=0"
+
+
 @pytest.mark.parametrize("base", [1, 1.0, 0.0, -2.0, np.inf, -np.inf, np.nan])
 def test_mana_rejects_bases_without_a_logarithm(named_states, base):
     with pytest.raises(ValueError, match="mana base"):
@@ -107,6 +122,13 @@ def test_lp_coherence_strange_p2(named_states):
 def test_lp_coherence_rejects_small_p():
     with pytest.raises(ValueError):
         mo.lp_coherence(linalg.maximally_mixed(3), 0.5)
+
+
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_lp_coherence_rejects_non_finite_p(p):
+    # 0 ** 0.0 is 1, so p = inf read 1 on every state, diagonal ones included
+    with pytest.raises(ValueError, match="finite p"):
+        mo.lp_coherence(np.diag([0.2, 0.5, 0.3]).astype(complex), p)
 
 
 def test_cw_zero_on_diagonal():

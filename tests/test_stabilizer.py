@@ -380,54 +380,74 @@ def test_in_polytope(qutrit_vertices, named_states):
         assert st.in_polytope(diag, qutrit_vertices) is True
 
 
-def test_in_polytope_undecided_inside_the_bracket(qutrit_vertices):
-    # a tol strictly inside a certified bracket cannot be decided either way
-    bracketed = 0
-    for rho in random_qutrit_batch(6, seed=37):
-        res = st.polytope_distance(rho, qutrit_vertices)
-        assert st.in_polytope(rho, qutrit_vertices, tol=res.distance + 1e-6) is True
-        assert st.in_polytope(rho, qutrit_vertices, tol=res.lower - 1e-6) is False
-        if res.certified and res.gap > 1e-12:
-            bracketed += 1
-            assert st.in_polytope(rho, qutrit_vertices, tol=(res.lower + res.distance) / 2) is None
-    assert bracketed > 0
+def _facet_min(rho):
+    return np.einsum("fij,ji->f", st.stabilizer_facets(rho.shape[0]), rho).real.min()
+
+
+def test_in_polytope_tol_is_a_facet_slack(qutrit_vertices):
+    # tol shifts the facet threshold: exterior states with facet minimum m are
+    # members exactly when 1 - tol <= m
+    exterior = [rho for rho in random_qutrit_batch(12, seed=37) if _facet_min(rho) < 1.0 - 1e-6]
+    assert len(exterior) >= 6
+    for rho in exterior:
+        slack = 1.0 - _facet_min(rho)
+        assert st.in_polytope(rho, qutrit_vertices, tol=slack + 1e-9) is True
+        assert st.in_polytope(rho, qutrit_vertices, tol=slack - 1e-9) is False
+        # a facet slack s puts rho at trace distance >= s / sqrt(5)
+        assert st.polytope_distance(rho, qutrit_vertices).lower >= slack / np.sqrt(5) - 1e-8
+    for tol in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite tol"):
+            st.in_polytope(rho, qutrit_vertices, tol=tol)
     with pytest.raises(ValueError, match="dimension mismatch"):
         st.in_polytope(rho, st.stabilizer_pure_states(2))
 
 
-def test_membership_agrees_with_lp_oracle(qutrit_vertices):
-    # linear-programming feasibility: does w >= 0, sum w = 1, Vw = rho exist?
+def _lp_member(rho, verts):
+    """Linear-programming feasibility: do w >= 0, sum w = 1, Vw = rho exist?"""
     from scipy.optimize import linprog
 
-    verts = qutrit_vertices.projectors
     m = len(verts)
     cols = np.stack([np.concatenate([v.real.reshape(-1), v.imag.reshape(-1)]) for v in verts], axis=1)
+    target = np.concatenate([rho.real.reshape(-1), rho.imag.reshape(-1)])
+    res = linprog(np.zeros(m), A_eq=np.vstack([cols, np.ones((1, m))]),
+                  b_eq=np.concatenate([target, [1.0]]), bounds=[(0, None)] * m, method="highs")
+    return res.status == 0
 
-    def lp_member(rho):
-        target = np.concatenate([rho.real.reshape(-1), rho.imag.reshape(-1)])
-        a_eq = np.vstack([cols, np.ones((1, m))])
-        b_eq = np.concatenate([target, [1.0]])
-        res = linprog(np.zeros(m), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * m, method="highs")
-        return res.status == 0
 
-    def facet_min(rho):
-        return np.einsum("fij,ji->f", st.stabilizer_facets(3), rho).real.min()
-
+def test_membership_agrees_with_lp_oracle(qutrit_vertices):
+    verts = qutrit_vertices.projectors
+    m = len(verts)
     rng = np.random.default_rng(34)
     for _ in range(20):
         wts = rng.dirichlet(np.ones(m))
         inside = np.einsum("m,mij->ij", wts, verts)
-        assert lp_member(inside)
+        assert _lp_member(inside, verts)
         assert st.in_polytope(inside, qutrit_vertices) is True
         # a member is at distance 0, so no lower bound may certify it outside
         assert st.polytope_distance(inside, qutrit_vertices).lower <= 1e-12
-        assert facet_min(inside) >= 1.0 - 1e-12
+        assert _facet_min(inside) >= 1.0 - 1e-12
     strange = linalg.dm_from_pure(linalg.strange_state())
-    assert not lp_member(strange)
-    assert abs(facet_min(strange)) <= 1e-12  # the Wigner facet at the origin: 3 W(0, 0) + 1 = 0
+    assert not _lp_member(strange, verts)
+    assert abs(_facet_min(strange)) <= 1e-12  # the Wigner facet at the origin: 3 W(0, 0) + 1 = 0
     assert st.in_polytope(strange, qutrit_vertices) is False
     # and the dual bound alone proves the LP's infeasibility verdict
     assert st.polytope_distance(strange, qutrit_vertices).lower > 0.5 - 1e-9
+    # the sweep's strange/white line leaves the polytope through the Wigner
+    # facet at p = 3/4
+    for p, member in ((0.75 - 1e-3, False), (0.75 + 1e-3, True)):
+        rho = (1 - p) * strange + p * linalg.maximally_mixed(3)
+        assert _lp_member(rho, verts) is member
+        assert st.in_polytope(rho, qutrit_vertices) is member
+    # seeded Ginibre and Haar states, and their mixtures with white noise,
+    # which cross the boundary
+    for d in (2, 3):
+        vset = st.stabilizer_pure_states(d)
+        rhos = np.concatenate([linalg.ginibre_dm_batch(30, d, d, rng), linalg.haar_pure_batch(30, d, rng)])
+        t = rng.uniform(size=(len(rhos), 1, 1))
+        rhos = np.concatenate([rhos, (1 - t) * rhos + t * np.eye(d) / d])
+        verdicts = [st.in_polytope(rho, vset) for rho in rhos]
+        assert verdicts == [_lp_member(rho, vset.projectors) for rho in rhos]
+        assert 10 < sum(verdicts) < len(rhos) - 10
 
 
 def test_incoherent_distance_diagonal_zero():
