@@ -47,6 +47,8 @@ class KrausChannel:
         ks = np.array(self.kraus, dtype=complex)
         ks.setflags(write=False)
         object.__setattr__(self, "kraus", ks)
+        if not np.all(np.isfinite(ks)):
+            raise ValueError("Kraus matrices have non-finite entries")
         err = np.max(np.abs(np.einsum("kai,kaj->ij", ks.conj(), ks) - np.eye(ks.shape[2])))
         if err > COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated: max |sum K^dag K - I| = {err:.3e}")
@@ -181,10 +183,18 @@ def incoherent_clifford_unitaries(d):
     return group[_is_monomial(group)]
 
 
+def _fixes_vertices(images, verts, tol):
+    """Whether max |image - vertex| <= tol over the last three axes of the
+    vertex images (..., m, d, d), for a finite tol."""
+    if not np.isfinite(tol):
+        raise ValueError(f"need a finite tol, got {tol}")
+    return np.max(np.abs(images - verts), axis=(-3, -2, -1)) <= tol
+
+
 def is_genuinely_stabilizer(channel, vertex_set, tol=1e-7):
     """True iff the channel fixes every pure stabilizer projector within tol."""
     verts = vertex_set.projectors
-    return bool(np.max(np.abs(_images(channel.kraus, verts).sum(axis=1) - verts)) <= tol)
+    return bool(_fixes_vertices(_images(channel.kraus, verts).sum(axis=1), verts, tol))
 
 
 @dataclass(frozen=True)
@@ -202,8 +212,8 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
     phase. Stabilizer preservation is decided exactly from the vertex images,
     since the channel is linear and the polytope is the vertices' hull: the
     channel is preserving iff every image passes `stabilizer.in_polytope_batch`
-    with the facet slack `tol`. `seed` and `n_probe` are accepted and have no
-    effect."""
+    with the facet slack `tol`, and genuinely stabilizer iff every image is
+    its vertex within `tol`. `seed` and `n_probe` have no effect."""
     d = vertex_set.dim
     if not channel.dim_in == channel.dim_out == d:
         raise ValueError(f"channel maps {channel.dim_in} -> {channel.dim_out}, "
@@ -213,7 +223,7 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
     images = _images(channel.kraus, vertex_set.projectors).sum(axis=1)
     return HierarchyFlags(incoherent=incoh, incoherent_clifford_unitary=clifford,
                           stabilizer_preserving=bool(stabilizer.in_polytope_batch(images, tol).all()),
-                          genuinely_stabilizer=is_genuinely_stabilizer(channel, vertex_set, tol))
+                          genuinely_stabilizer=bool(_fixes_vertices(images, vertex_set.projectors, tol)))
 
 
 def estimate_cm(rho, n_trials, seed=None):
@@ -292,6 +302,8 @@ def result1_audit(n_trials=10000, seed=0, tol=1e-8):
     and `sweeps_max` over the states of both solves.
     """
     _require_trials(n_trials)
+    if not np.isfinite(tol):
+        raise ValueError(f"result1_audit needs a finite tol, got {tol}")
     rhos, images = _incoherent_outcomes(n_trials, rng_from(seed))
     images = images.sum(axis=1)  # frees the (n, 9, 3, 3) outcomes before the solve
     pruned = np.zeros(n_trials, dtype=bool)
@@ -383,7 +395,7 @@ def gso_audit(n_trials=10000, seed=0):
     counts = rng.integers(1, 5, size=n_trials)
     kraus = _haar_kraus(counts, 2, rng)
     images = _summed_images(kraus, verts)  # (n, vertex, 2, 2)
-    fixes = np.max(np.abs(images - verts), axis=(1, 2, 3)) <= 1e-7
+    fixes = _fixes_vertices(images, verts, 1e-7)
     # a unitary equal to the identity up to phase fixes everything; skip those
     u = kraus[:, 0]
     trivial = (counts == 1) & (np.max(np.abs(u - u[:, :1, :1] * np.eye(2)), axis=(1, 2)) < 1e-9)

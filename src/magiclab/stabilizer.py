@@ -26,20 +26,21 @@ with ||X||_inf <= 1/2 gives
 
     (1/2)||rho - sigma||_1 >= tr(X rho) - max_i tr(X v_i)
 
-for every sigma in the hull. The solver tries two such X: the ADMM dual,
-negated and clipped to that ball, and the sign pattern of the residual
-rho - sum_i w_i v_i with its near-kernel direction tuned; each state stops
-once upper - lower <= tol. A caller that asks a question of the distances
-rather than their values can also stop a state as soon as its bracket
-answers it: :func:`solve_decided` takes a rule that marks the states whose
-question is answered (in `channels`, `estimate_cm` and the result1 audit).
-The brackets are updated every 10 sweeps, and a solve with a rule also
-reads them after sweeps 1 and 2, where most of its states are decided.
-The same minimizer over the computational-basis projectors gives the
-distance to the incoherent states. (A plain Frank-Wolfe
-scheme with exact line search stalls here: the steepest-descent vertex
-computed from a subgradient need not be a descent direction at the
-eigenvalue crossings where the optimum sits.)
+for every sigma in the hull. The solver tries two such X, each from one
+eigendecomposition: the ADMM dual, negated and clipped to that ball, and
+half the sign of the residual rho - sum_i w_i v_i. Any X in the ball gives
+a valid bound, so the choice of X affects only how fast states certify.
+Each state stops once upper - lower <= tol. A caller that asks a question
+of the distances rather than their values can also stop a state as soon as
+its bracket answers it: :func:`solve_decided` takes a rule that marks the
+states whose question is answered (in `channels`, `estimate_cm` and the
+result1 audit). The brackets are updated every 10 sweeps, and a solve with
+a rule also reads them after sweeps 1 and 2, where most of its states are
+decided. The same minimizer over the computational-basis projectors gives
+the distance to the incoherent states. (A plain Frank-Wolfe scheme with
+exact line search stalls here: the steepest-descent vertex computed from a
+subgradient need not be a descent direction at the eigenvalue crossings
+where the optimum sits.)
 """
 
 from dataclasses import dataclass
@@ -218,46 +219,12 @@ def _from_eigh(u, lam):
     return (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
 
 
-def _pairings(x, rhos, vdual):
-    """tr(X rho) per state and tr(X v_i) per state and vertex, for Hermitian X."""
-    return np.einsum("nij,nji->n", x, rhos).real, (x.reshape(len(x), -1) @ vdual).real
-
-
-def _clipped_dual_bound(rhos, y, vdual):
-    """L(X) = tr(X rho) - max_i tr(X v_i) at X = -y with its eigenvalues clipped
-    to [-1/2, 1/2]."""
-    lam, u = np.linalg.eigh(-y)
-    at_rho, at_verts = _pairings(_from_eigh(u, np.clip(lam, -0.5, 0.5)), rhos, vdual)
-    return at_rho - at_verts.max(axis=1)
-
-
-def _residual_bracket(rhos, delta, vdual):
-    """The upper bound (1/2)||delta||_1 at the current weights, and the best
-    lower bound over the witnesses X(c) = (1/2) sign(delta) on every eigenvector
-    of delta = rho - Vw but the one nearest the kernel, and c in [-1/2, 1/2] on
-    that one. At an optimum of a qubit or qutrit problem, delta has at most one
-    zero eigenvalue and complementary slackness puts an optimal dual in this
-    family; L(c) is concave and piecewise linear, so it peaks at c = +-1/2 or
-    where two vertex terms cross."""
-    n = len(rhos)
-    lam, u = np.linalg.eigh(delta)
-    rows = np.arange(n)
-    k0 = np.argmin(np.abs(lam), axis=1)
-    sign = 0.5 * np.sign(lam)
-    sign[rows, k0] = 0.0
-    u0 = u[rows, :, k0]
-    a, g = _pairings(_from_eigh(u, sign), rhos, vdual)
-    b, slope = _pairings(u0[:, :, None] * u0.conj()[:, None, :], rhos, vdual)
-    i, j = np.triu_indices(vdual.shape[1], 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (g[:, i] - g[:, j]) / (slope[:, j] - slope[:, i])
-    c = np.clip(np.nan_to_num(cross), -0.5, 0.5)
-    c = np.concatenate([c, np.full((n, 2), [-0.5, 0.5])], axis=1)
-    envelope = np.full(c.shape, -np.inf)
-    for gi, si in zip(g.T, slope.T):
-        envelope = np.maximum(envelope, gi[:, None] + si[:, None] * c)
-    lower = np.max(a[:, None] + b[:, None] * c - envelope, axis=1)
-    return 0.5 * np.sum(np.abs(lam), axis=1), lower
+def _dual_bound(rhos, u, lam, vdual):
+    """L(X) = tr(X rho) - max_i tr(X v_i) at X = u diag(lam) u^dag, per state;
+    a lower bound on the distance whenever every |lam| <= 1/2."""
+    x = _from_eigh(u, lam)
+    at_verts = (x.reshape(len(x), -1) @ vdual).real
+    return np.einsum("nij,nji->n", x, rhos).real - at_verts.max(axis=1)
 
 
 _INNER_STEPS = 5  # FISTA steps per weight half-step, warm-started
@@ -339,8 +306,11 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
 
         cadence = sweep % 10 == 0
         if cadence or sweep == max_iter or (decisive and sweep in _EARLY_BRACKETS):
-            upper, lower = _residual_bracket(ra, delta, vdual)
-            lower = np.maximum(lower, _clipped_dual_bound(ra, ya, vdual))
+            lam, u = np.linalg.eigh(delta)
+            upper = 0.5 * np.sum(np.abs(lam), axis=1)
+            lower = _dual_bound(ra, u, 0.5 * np.sign(lam), vdual)
+            lam, u = np.linalg.eigh(-ya)
+            lower = np.maximum(lower, _dual_bound(ra, u, np.clip(lam, -0.5, 0.5), vdual))
             lower = np.maximum(lower, bounds[active, 0])
             bounds[active] = np.stack([lower, upper], axis=1)
             if cadence:
@@ -366,6 +336,8 @@ def solve_decided(problems, decide=None, tol=1e-9, max_iter=5000):
     answered, and those stop in every problem, uncertified. Such a solve
     also reads its brackets after sweeps 1 and 2 (see `_admm`).
     """
+    if not np.isfinite(tol) or max_iter < 1:
+        raise ValueError(f"need a finite tol and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     solvers = [_admm(rhos, vertices, tol, max_iter, decide is not None) for rhos, vertices in problems]
     bounds = [None] * len(solvers)
     results = [None] * len(solvers)
@@ -392,11 +364,11 @@ def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):
     steps of length 1/L_T on the quadratic simplex subproblem (L_T the Gram
     curvature on sum-zero directions, see the module docstring), and the
     dual Y tracks the constraint. Every 10 sweeps each state gets the upper
-    bound at its feasible weights and a lower bound from two dual witnesses:
-    -Y clipped to the dual ball, and the sign pattern of the residual
-    rho - Vw (kept as a running max, from 0 since distances are
-    nonnegative); the per-state penalty tau grows when the split residual
-    lags. A state stops when upper - lower <= tol.
+    bound (1/2)||rho - Vw||_1 at its feasible weights and a lower bound from
+    two dual witnesses, (1/2) sign(rho - Vw) from the same eigendecomposition
+    and -Y clipped to the dual ball (kept as a running max, from 0 since
+    distances are nonnegative); the per-state penalty tau grows when the
+    split residual lags. A state stops when upper - lower <= tol.
 
     Returns (bounds, weights, iterations, certified): `bounds` is (n, 2) with
     columns [lower, upper], the upper bound evaluated at `weights`, and

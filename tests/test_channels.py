@@ -12,6 +12,36 @@ def test_kraus_completeness_enforced():
         ch.KrausChannel(kraus=(np.eye(3) * 0.5,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kraus_rejects_non_finite_entries(bad):
+    # nan would slip past the completeness check, whose comparison is then False
+    with pytest.raises(ValueError, match="non-finite"):
+        ch.KrausChannel(kraus=[[[bad, 0], [0, 1]]])
+
+
+MIXED_VS_BASIS = (np.eye(3)[None] / 3, st.basis_projectors(3))
+TOLERANT_CALLS = {
+    "classify": lambda **kw: ch.classify(ch.identity_channel(3), st.stabilizer_pure_states(3), **kw),
+    "is_genuinely_stabilizer": lambda **kw: ch.is_genuinely_stabilizer(
+        ch.identity_channel(3), st.stabilizer_pure_states(3), **kw),
+    "result1_audit": lambda **kw: ch.result1_audit(20, 1, **kw),
+    "solve_decided": lambda **kw: st.solve_decided([MIXED_VS_BASIS], **kw),
+    "polytope_distance_batch": lambda **kw: st.polytope_distance_batch(*MIXED_VS_BASIS, **kw),
+}
+
+
+@pytest.mark.parametrize("name, kwargs", [(name, {"tol": tol}) for name in TOLERANT_CALLS
+                                          for tol in (np.nan, np.inf, -np.inf)]
+                         + [(name, {"max_iter": m}) for name in ("solve_decided", "polytope_distance_batch")
+                            for m in (0, -1)])
+def test_tolerances_and_iteration_caps_are_checked(name, kwargs):
+    # a nan tol makes every comparison False: the identity would read as
+    # neither preserving nor genuinely stabilizer, result1 as failed with no
+    # violation, and a solve would run to max_iter; max_iter 0 returned [0, inf]
+    with pytest.raises(ValueError):
+        TOLERANT_CALLS[name](**kwargs)
+
+
 def test_dephasing_admitted_and_incoherent():
     dep = ch.dephasing_channel(3)
     assert ch.is_incoherent(dep)

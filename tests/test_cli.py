@@ -190,3 +190,19 @@ def test_only_the_cli_prints():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
                 printing.append(f"{path.name}:{node.lineno}")
     assert printing == []
+
+
+def test_the_library_imports_only_numpy_and_the_standard_library():
+    # scipy and hypothesis are test extras (pyproject.toml); the library needs numpy alone
+    foreign = []
+    for path in sorted(Path(magiclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {root}" for root in roots
+                        if root not in sys.stdlib_module_names | {"numpy", "magiclab"}]
+    assert foreign == []

@@ -257,12 +257,14 @@ def test_polytope_distance_random_vs_slsqp(qutrit_vertices):
         assert lower <= oracle + 1e-12
 
 
-def test_stabilizer_solve_sweep_budget(qutrit_vertices):
-    # sweep-count regression guard: 1,000 qutrits all certify within 300
-    # sweeps (the slowest takes 170)
+@pytest.mark.parametrize("d, kind", [(3, "stabilizer"), (3, "basis"), (2, "stabilizer"), (2, "basis")])
+def test_stabilizer_solve_sweep_budget(d, kind):
+    # sweep-count regression guard for the certificate: 1,000 states all
+    # certify within 300 sweeps (the slowest take 170, 140, 110 and 50)
     rng = np.random.default_rng(2024)
-    rhos = np.concatenate([linalg.ginibre_dm_batch(500, 3, 3, rng), linalg.haar_pure_batch(500, 3, rng)])
-    _, _, iters, certified = st.polytope_distance_batch(rhos, qutrit_vertices.projectors)
+    rhos = np.concatenate([linalg.ginibre_dm_batch(500, d, d, rng), linalg.haar_pure_batch(500, d, rng)])
+    verts = st.stabilizer_pure_states(d).projectors if kind == "stabilizer" else st.basis_projectors(d)
+    _, _, iters, certified = st.polytope_distance_batch(rhos, verts)
     assert certified.all()
     assert iters.max() <= 300
 
