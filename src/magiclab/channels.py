@@ -191,12 +191,6 @@ def _fixes_vertices(images, verts, tol):
     return np.max(np.abs(images - verts), axis=(-3, -2, -1)) <= tol
 
 
-def is_genuinely_stabilizer(channel, vertex_set, tol=1e-7):
-    """True iff the channel fixes every pure stabilizer projector within tol."""
-    verts = vertex_set.projectors
-    return bool(_fixes_vertices(_images(channel.kraus, verts).sum(axis=1), verts, tol))
-
-
 @dataclass(frozen=True)
 class HierarchyFlags:
     """Where one channel sits in the free-operation hierarchy, flag by flag."""
@@ -224,6 +218,12 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
     return HierarchyFlags(incoherent=incoh, incoherent_clifford_unitary=clifford,
                           stabilizer_preserving=bool(stabilizer.in_polytope_batch(images, tol).all()),
                           genuinely_stabilizer=bool(_fixes_vertices(images, vertex_set.projectors, tol)))
+
+
+def is_genuinely_stabilizer(channel, vertex_set, tol=1e-7):
+    """True iff the channel fixes every pure stabilizer projector within tol:
+    the `genuinely_stabilizer` flag of :func:`classify`."""
+    return classify(channel, vertex_set, tol=tol).genuinely_stabilizer
 
 
 def estimate_cm(rho, n_trials, seed=None):

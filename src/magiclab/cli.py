@@ -83,37 +83,24 @@ def cmd_audit(args):
     return 0 if report.passed else 1
 
 
-# subcommand -> (experiment, default CSV name, summary line, pass rule)
-EXPERIMENTS = {
-    "sweep": (experiments.noise_sweep, "sweep.csv",
-              lambda data: f"max_abs_residual={data.max_abs_residual:.3e}",
-              lambda data, tol: data.max_abs_residual < tol),
-    "scatter-coherence": (experiments.coherence_magic_scatter, "coherence_scatter.csv",
-                          lambda data: f"min_slack_pure={data.min_slack_pure:.6e}",
-                          lambda data, tol: data.min_slack_pure >= -tol),
-    "scatter-entanglement": (experiments.entanglement_magic_scatter, "entanglement_scatter.csv",
-                             lambda data: f"max_lhs={data.max_lhs:.12f}",
-                             lambda data, tol: data.max_lhs <= 4.0 + tol),
-}
-
-
-def cmd_experiment(args):
-    run, default_name, summary, passed = EXPERIMENTS[args.command]
-    cfg = _build_config(args)
-    data = run(cfg)
-    out = args.out or default_name
-    experiments.write_csv(out, data.csv())
-    print(f"wrote {out}")
-    print(summary(data))
-    return 0 if passed(data, cfg.tolerance) else 1
-
-
-def cmd_run_all(args):
-    cfg = _build_config(args)
-    report = experiments.run_all(cfg)
+def _print_report(report):
+    """Print a run report's check lines and overall verdict; exit status 1 on any FAIL."""
     for line in report.lines():
         print(line)
     return 0 if report.all_pass else 1
+
+
+def cmd_experiment(args):
+    cfg = _build_config(args)
+    data = experiments.EXPERIMENTS[args.command](cfg)
+    out = args.out or data.CSV_NAME
+    experiments.write_csv(out, data.csv())
+    print(f"wrote {out}")
+    return _print_report(experiments.RunReport(checks=data.checks(cfg), csv_paths=[out]))
+
+
+def cmd_run_all(args):
+    return _print_report(experiments.run_all(_build_config(args)))
 
 
 def build_parser():
@@ -146,7 +133,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_audit)
 
-    for name in (*EXPERIMENTS, "run-all"):
+    for name in (*experiments.EXPERIMENTS, "run-all"):
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--seed", type=int)
         p.add_argument("--config")

@@ -84,11 +84,13 @@ class ExperimentConfig:
     def from_file(cls, path, **overrides):
         values = {}
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, _, raw = line.partition("=")
+                key, sep, raw = line.partition("=")
+                if not sep:
+                    raise ValueError(f"{path} line {lineno}: expected key=value, got {line!r}")
                 values[key.strip()] = raw.strip()
         return cls.from_strings(values, **overrides)
 
@@ -99,8 +101,10 @@ class ExperimentConfig:
         for key, raw in values.items():
             if key not in fields:
                 raise ValueError(f"unknown config key: {key}")
-            kwargs[key] = str(raw) if fields[key] is str else (
-                int(raw) if fields[key] is int else float(raw))
+            try:
+                kwargs[key] = fields[key](raw)
+            except ValueError:
+                raise ValueError(f"config key {key} needs {fields[key].__name__}, got {raw!r}") from None
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**kwargs)
 
@@ -162,11 +166,21 @@ class SweepData:
     table: np.ndarray       # (grid points, 9), columns in SWEEP_HEADER order
     max_abs_residual: float
     kinks: dict
+    CSV_NAME = "sweep.csv"
 
     def csv(self):
         trailer = [("max_abs_residual", self.max_abs_residual)]
         trailer += [(f"kink_{name}", val) for name, val in self.kinks.items()]
         return csv_text(SWEEP_HEADER, [(None, self.table)], trailer)
+
+    def checks(self, cfg):
+        """(name, passed, detail) triples: the residual is below cfg.tolerance,
+        and every reference kink is found within half a grid step."""
+        kinks_ok = all(abs(self.kinks.get(f"{state}_{noise}", np.inf) - kink) <= cfg.p_step / 2 + 1e-12
+                       for state, noise, *_, kink in SWEEP_CURVES if kink is not None)
+        return [("sweep_residual", self.max_abs_residual < cfg.tolerance,
+                 f"max_abs_residual={self.max_abs_residual:.3e} tol={cfg.tolerance:g}"),
+                ("sweep_kinks", kinks_ok, f"detected={self.kinks}")]
 
 
 def noise_sweep(cfg):
@@ -206,11 +220,17 @@ class CoherenceScatterData:
     blocks: dict            # kind -> (n, 4) array of the COH_HEADER[1:] columns
     min_slack_pure: float
     min_slack_mixed: float
+    CSV_NAME = "coherence_scatter.csv"
 
     def csv(self):
         return csv_text(COH_HEADER, self.blocks.items(),
                         [("min_slack_pure", self.min_slack_pure),
                          ("min_slack_mixed", self.min_slack_mixed)])
+
+    def checks(self, cfg):
+        """The pure-state bound holds within cfg.tolerance, as a one-triple list."""
+        return [("coherence_bound_pure", self.min_slack_pure >= -cfg.tolerance,
+                 f"min_slack_pure={self.min_slack_pure:.3e}")]
 
 
 def coherence_magic_scatter(cfg):
@@ -240,10 +260,16 @@ class EntanglementScatterData:
     blocks: dict            # kind -> (n, 3) array of the ENT_HEADER[1:] columns
     max_lhs: float
     max_lhs_pure: float
+    CSV_NAME = "entanglement_scatter.csv"
 
     def csv(self):
         return csv_text(ENT_HEADER, self.blocks.items(),
                         [("max_lhs", self.max_lhs), ("max_lhs_pure", self.max_lhs_pure)])
+
+    def checks(self, cfg):
+        """16 E^2 + 9 M^2 <= 4 holds within cfg.tolerance, as a one-triple list."""
+        return [("entanglement_tradeoff", self.max_lhs <= 4.0 + cfg.tolerance,
+                 f"max_lhs={self.max_lhs:.12f}")]
 
 
 def entanglement_magic_scatter(cfg):
@@ -271,6 +297,9 @@ def entanglement_magic_scatter(cfg):
 # run everything
 # ---------------------------------------------------------------------------
 
+# command -> experiment; one table for the CLI's commands and run_all
+EXPERIMENTS = {"sweep": noise_sweep, "scatter-coherence": coherence_magic_scatter,
+               "scatter-entanglement": entanglement_magic_scatter}
 AUDITS_HEADER = ("suite", "trials", "passed", "worst_margin")
 
 
@@ -290,24 +319,10 @@ class RunReport:
 
 
 def run_all(cfg):
-    """Noise sweep, both scatters and the four channel audits; writes their
+    """The experiments of EXPERIMENTS and the four channel audits; writes their
     CSV artifacts under cfg.outdir and aggregates pass/fail."""
-    checks = []
-
-    sweep = noise_sweep(cfg)
-    checks.append(("sweep_residual", sweep.max_abs_residual < cfg.tolerance,
-                   f"max_abs_residual={sweep.max_abs_residual:.3e} tol={cfg.tolerance:g}"))
-    kinks_ok = all(abs(sweep.kinks.get(f"{state}_{noise}", np.inf) - kink) <= cfg.p_step / 2 + 1e-12
-                   for state, noise, *_, kink in SWEEP_CURVES if kink is not None)
-    checks.append(("sweep_kinks", kinks_ok, f"detected={sweep.kinks}"))
-
-    coh = coherence_magic_scatter(cfg)
-    checks.append(("coherence_bound_pure", coh.min_slack_pure >= -cfg.tolerance,
-                   f"min_slack_pure={coh.min_slack_pure:.3e}"))
-
-    ent = entanglement_magic_scatter(cfg)
-    checks.append(("entanglement_tradeoff", ent.max_lhs <= 4.0 + cfg.tolerance,
-                   f"max_lhs={ent.max_lhs:.12f}"))
+    results = [run(cfg) for run in EXPERIMENTS.values()]
+    checks = [check for data in results for check in data.checks(cfg)]
 
     audit_blocks = []
     for name, audit in channels.AUDIT_SUITES.items():
@@ -317,12 +332,8 @@ def run_all(cfg):
                        f"worst_margin={report.worst_margin:.3e} trials={trials}"))
         audit_blocks.append((name, [[trials, int(report.passed), report.worst_margin]]))
 
-    paths = []
-    artifacts = [("sweep.csv", sweep.csv()), ("coherence_scatter.csv", coh.csv()),
-                 ("entanglement_scatter.csv", ent.csv()),
-                 ("audits.csv", csv_text(AUDITS_HEADER, audit_blocks, []))]
-    for fname, text in artifacts:
-        path = os.path.join(cfg.outdir, fname)
-        write_csv(path, text)
-        paths.append(path)
+    paths = [os.path.join(cfg.outdir, name) for name in (*(d.CSV_NAME for d in results), "audits.csv")]
+    for path, data in zip(paths, results):
+        write_csv(path, data.csv())
+    write_csv(paths[-1], csv_text(AUDITS_HEADER, audit_blocks, []))
     return RunReport(checks=checks, csv_paths=paths)

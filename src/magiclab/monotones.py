@@ -109,15 +109,7 @@ def negativity_batch(rhos, dims):
 # line-sum coherence monotone
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CwResult:
-    """The C_w minimum with its minimizing diagonal state and scale lambda."""
-    value: float
-    sigma: np.ndarray
-    lam: float
-
-
-def cw_coherence(rho, full=False):
+def cw_coherence(rho):
     """Coherence from Wigner line sums: min over diagonal sigma and lambda >= 0 of
     ||K_rho - lambda K_sigma||_1, with K the striation marginals over d+1.
 
@@ -128,13 +120,10 @@ def cw_coherence(rho, full=False):
         C_w = min_{lambda >= 0} (|1 - lambda| + sum_l |m_l - lambda/d|) / (d+1),
 
     convex and piecewise linear in lambda, hence minimal at a breakpoint
-    lambda = 1 or d m_l. Returns the value, or a :class:`CwResult` if ``full``.
+    lambda = 1 or d m_l. The minimizing lambda comes with :func:`cw_coherence_grid`.
     """
     rho = validate_density_matrix(rho)
-    value, lam = cw_coherence_grid(wigner_batch(rho[None], rho.shape[0])[0])
-    if not full:
-        return float(value)
-    return CwResult(value=float(value), sigma=rho.diagonal().real.copy(), lam=float(lam))
+    return float(cw_coherence_grid(wigner_batch(rho[None], rho.shape[0])[0])[0])
 
 
 def cw_coherence_grid(w):

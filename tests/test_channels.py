@@ -243,6 +243,9 @@ def test_incoherent_cliffords_permute_vertices_and_facets(d, count):
 def test_is_genuinely_stabilizer(qubit_vertices):
     assert ch.is_genuinely_stabilizer(ch.identity_channel(2), qubit_vertices)
     assert not ch.is_genuinely_stabilizer(ch.dephasing_channel(2), qubit_vertices)
+    # the flag is classify's, with its dimension check: no matmul error from numpy
+    with pytest.raises(ValueError, match="maps 2 -> 2, vertices have dimension 3"):
+        ch.is_genuinely_stabilizer(ch.identity_channel(2), st.stabilizer_pure_states(3))
 
 
 def test_classify_flags(qubit_vertices):

@@ -139,6 +139,47 @@ def test_run_all_rejects_negative_rank(tmp_path):
     assert res.stderr.startswith("error:") and "rank" in res.stderr
 
 
+@pytest.mark.parametrize("text, words", [
+    ("seed=3\nsamples\n", ("line 2", "samples")),
+    ("tolerance=abc\n", ("tolerance", "float")),
+    ("samples=1.5\n", ("samples", "int")),
+], ids=["no_equals", "float", "int"])
+def test_config_file_errors_name_the_key(tmp_path, text, words):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    res = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert all(word in res.stderr for word in words), res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("grid", ["", "p_start=0.7\n"], ids=["default_grid", "p_start_0.7"])
+def test_experiment_commands_print_run_alls_checks(tmp_path, grid):
+    # each command judges its result exactly as run-all does, on the same config
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(grid + "samples=300\nresult1_trials=20\nlp_trials=20\n"
+                   "selective_trials=20\ngso_trials=20\n")
+    run_all = run_cli("run-all", "--config", str(cfg), "--out", str(tmp_path / "all")).stdout
+    results, printed = {}, []
+    for command, name in (("sweep", "sweep.csv"), ("scatter-coherence", "coherence_scatter.csv"),
+                          ("scatter-entanglement", "entanglement_scatter.csv")):
+        out = tmp_path / name
+        res = results[command] = run_cli(command, "--config", str(cfg), "--out", str(out))
+        wrote, *checks, overall = res.stdout.splitlines()
+        assert wrote == f"wrote {out}" and checks
+        printed += checks
+        passed = all(line.startswith("PASS ") for line in checks)
+        assert overall == f"overall={'PASS' if passed else 'FAIL'}"
+        assert res.returncode == (0 if passed else 1)
+        assert out.read_bytes() == (tmp_path / "all" / name).read_bytes()
+    assert printed == [line for line in run_all.splitlines()
+                       if not line.startswith(("PASS audit_", "FAIL audit_", "overall="))]
+    # p_start=0.7 leaves the Norrell white-noise kink at 0.6 off the grid
+    assert (results["sweep"].returncode == 1) == bool(grid)
+    assert ("FAIL sweep_kinks" in results["sweep"].stdout) == bool(grid)
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep.csv"
     res = run_cli("sweep", "--out", str(out))

@@ -30,6 +30,7 @@ def test_dm_from_pure_rejects_unnormalized():
 
 
 def test_validators_reject_non_finite():
+    assert linalg.is_density_matrix(linalg.maximally_mixed(3))
     for bad in (np.nan, np.inf, complex(0, np.nan)):
         rho = linalg.maximally_mixed(3)
         rho[0, 1] = rho[1, 0] = bad
@@ -40,6 +41,22 @@ def test_validators_reject_non_finite():
         psi[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             linalg.validate_pure_state(psi)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: linalg.validate_density_matrix(np.ones((2, 3)) / 2), "must be square"),
+    (lambda: linalg.validate_density_matrix([[0.5, 0.1], [0.2, 0.5]]), "not Hermitian"),
+    (lambda: linalg.validate_density_matrix(np.eye(2)), "trace is not 1"),
+    (lambda: linalg.validate_density_matrix(np.diag([1.5, -0.5])), "not positive semidefinite"),
+    (lambda: linalg.validate_pure_state([1.0]), "length >= 2"),
+    (lambda: linalg.basis_ket(3, 3), "index 3 out of range for dimension 3"),
+    (lambda: linalg.partial_trace(np.eye(3) / 3, (3,), 0), "at least two subsystem dimensions"),
+    (lambda: linalg.partial_transpose(np.eye(6) / 6, (3, 2), 2), "subsystem index 2 out of range"),
+], ids=["non_square", "non_hermitian", "trace", "non_psd", "short_vector", "basis_index",
+        "one_dim", "transpose_index"])
+def test_boundary_checks_name_the_violation(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_random_pure_deterministic():

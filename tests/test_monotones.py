@@ -183,13 +183,12 @@ def test_cw_rises_along_a_diagonal_phase_orbit():
     assert abs(values[0] - 1 / 3) <= 1e-12 and abs(values[1] - 5 / 9) <= 1e-12
 
 
-def test_cw_full_result_fields(named_states):
+def test_cw_grid_minimizer_is_a_breakpoint(named_states):
     rho = named_states["coherent"]
-    res = mo.cw_coherence(rho, full=True)
-    assert res.value == mo.cw_coherence(rho)
-    assert np.array_equal(res.sigma, np.diag(rho).real)
+    value, lam = mo.cw_coherence_grid(ps.wigner(rho))
+    assert value == mo.cw_coherence(rho)
     breakpoints = np.append(1.0, 3 * ps.striation_marginals(ps.wigner(rho))[1:].ravel())
-    assert res.lam > 0 and np.min(np.abs(breakpoints - res.lam)) < 1e-12
+    assert lam > 0 and np.min(np.abs(breakpoints - lam)) < 1e-12
 
 
 def test_distance_monotones_trivial_cases(qutrit_vertices):
@@ -342,8 +341,7 @@ def test_batch_coherence_kernels_match_single_state_forms():
     single = [mo.cw_coherence_grid(w) for w in grids]
     assert values.tolist() == [float(v) for v, _ in single]
     assert lams.tolist() == [float(lam) for _, lam in single]
-    full = mo.cw_coherence(rhos[0], full=True)
-    assert (full.value, full.lam) == tuple(float(x) for x in mo.cw_coherence_grid(ps.wigner(rhos[0])))
+    assert mo.cw_coherence(rhos[0]) == float(mo.cw_coherence_grid(ps.wigner(rhos[0]))[0])
 
 
 def _count_validations_and_grids(monkeypatch, fn, rho):

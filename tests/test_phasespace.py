@@ -33,6 +33,12 @@ def test_displacement_rejects_even():
         ps.displacement(2, 1, 0)
 
 
+@pytest.mark.parametrize("d, match", [(4, "odd dimension, got d=4"), (9, "prime dimension, got d=9")])
+def test_phase_point_ops_need_odd_prime_dimension(d, match):
+    with pytest.raises(ValueError, match=match):
+        ps.phase_point_ops(d)
+
+
 def test_phase_point_ops_traces_and_sum():
     ops = ps.phase_point_ops(3)
     for p in range(3):

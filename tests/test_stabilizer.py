@@ -224,6 +224,13 @@ def test_polytope_distance_vertex(qutrit_vertices):
     assert res.weights[4] > 1 - 1e-6
 
 
+@pytest.mark.parametrize("plain", [False, True], ids=["vertex_set", "vertex_list"])
+def test_polytope_distance_rejects_dimension_mismatch(qutrit_vertices, plain):
+    verts = qutrit_vertices.projectors if plain else qutrit_vertices
+    with pytest.raises(ValueError, match="dimension mismatch: state 2, vertices 3"):
+        st.polytope_distance(np.eye(2) / 2, verts)
+
+
 def test_polytope_distance_maximally_mixed(qutrit_vertices):
     res = st.polytope_distance(linalg.maximally_mixed(3), qutrit_vertices)
     assert res.distance <= 1e-9

@@ -53,6 +53,16 @@ def test_non_finite_entries_rejected(entry):
         stateio.loads_state(f"dim=2\n{entry},0+0i\n")
 
 
+@pytest.mark.parametrize("text, match", [
+    ("dim=3\n1,,0\n", "empty numeric field"),
+    ("dim=1\n1\n", "dimension must be >= 2, got 1"),
+    ("dim=2\n1,0\n0\n", "row needs 2 entries, got 1"),
+], ids=["empty_field", "dim_1", "short_row"])
+def test_malformed_files_name_the_fault(text, match):
+    with pytest.raises(ValueError, match=match):
+        stateio.loads_state(text)
+
+
 def test_dumps_full_precision():
     rho = linalg.random_mixed(3, seed=72)
     assert np.array_equal(stateio.loads_state(stateio.dumps_state(rho)), rho)
