@@ -47,6 +47,8 @@ class KrausChannel:
         ks = np.array(self.kraus, dtype=complex)
         ks.setflags(write=False)
         object.__setattr__(self, "kraus", ks)
+        if ks.ndim != 3:
+            raise ValueError(f"Kraus matrices must be a (k, d_out, d_in) stack, got shape {ks.shape}")
         if not np.all(np.isfinite(ks)):
             raise ValueError("Kraus matrices have non-finite entries")
         err = np.max(np.abs(np.einsum("kai,kaj->ij", ks.conj(), ks) - np.eye(ks.shape[2])))
@@ -235,6 +237,8 @@ def estimate_cm(rho, n_trials, seed=None):
     being solved once its upper bound falls below the best lower bound so
     far, since it can no longer raise the maximum.
     """
+    if n_trials < 0:
+        raise ValueError(f"estimate_cm needs n_trials >= 0, got {n_trials}")
     rho = validate_density_matrix(rho)
     d = rho.shape[0]
     rng = rng_from(seed)

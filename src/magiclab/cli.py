@@ -6,6 +6,7 @@ violation, 2 usage error (argparse's default).
 """
 
 import argparse
+import os
 import sys
 
 from . import channels, experiments, monotones, stabilizer, stateio
@@ -20,13 +21,10 @@ def _load_dm(path):
 
 
 def _build_config(args):
-    overrides = {}
-    for key in ("seed", "samples", "outdir", "tolerance"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    if getattr(args, "config", None):
+    overrides = {key: getattr(args, key, None) for key in ("seed", "samples", "outdir", "tolerance")}
+    if args.config:
         return ExperimentConfig.from_file(args.config, **overrides)
-    return ExperimentConfig(**overrides)
+    return ExperimentConfig.from_strings({}, **overrides)
 
 
 def cmd_wigner(args):
@@ -47,7 +45,10 @@ def cmd_wigner(args):
 
 def cmd_monotones(args):
     rho = _load_dm(args.state)
-    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
+    try:
+        dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
+    except ValueError:
+        raise ValueError(f"--dims needs subsystem dims like 3,2, got {args.dims!r}") from None
     for report in monotones.all_monotones(rho, dims=dims):
         print(f"{report.name}={_fmt(report.value)}")
     return 0
@@ -56,47 +57,37 @@ def cmd_monotones(args):
 def cmd_stab(args):
     vset = stabilizer.stabilizer_pure_states(args.dim)
     if args.list:
-        blocks = []
-        for i, (ket, word) in enumerate(zip(vset.kets, vset.words)):
-            blocks.append(f"# vertex {i} word={word}\n" + stateio.dumps_state(ket))
-        sys.stdout.write("\n".join(blocks))
+        sys.stdout.write("\n".join(f"# vertex {i} word={word}\n" + stateio.dumps_state(ket)
+                                   for i, (ket, word) in enumerate(zip(vset.kets, vset.words))))
         return 0
-    if args.distance:
-        rho = _load_dm(args.distance)
-        res = stabilizer.polytope_distance(rho, vset)
-        print(f"distance={_fmt(res.distance)}")
-        print(f"lower={_fmt(res.lower)}")
-        print(f"gap={_fmt(res.gap)}")
-        print(f"certified={res.certified}")
-        print(f"iterations={res.iterations}")
-        print("weights=" + ",".join(_fmt(w) for w in res.weights))
-        return 0
-    print("stab: nothing to do (use --list or --distance)", file=sys.stderr)
-    return 2
+    res = stabilizer.polytope_distance(_load_dm(args.distance), vset)
+    print(f"distance={_fmt(res.distance)}")
+    print(f"lower={_fmt(res.lower)}")
+    print(f"gap={_fmt(res.gap)}")
+    print(f"certified={res.certified}")
+    print(f"iterations={res.iterations}")
+    print("weights=" + ",".join(_fmt(w) for w in res.weights))
+    return 0
 
 
-def cmd_audit(args):
-    fn = channels.AUDIT_SUITES[args.suite]
-    report = fn(n_trials=args.n, seed=args.seed)
+def _print_report(report):
+    """Print a report's lines (an audit's or a run's checks); exit status 1 unless it passed."""
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
-def _print_report(report):
-    """Print a run report's check lines and overall verdict; exit status 1 on any FAIL."""
-    for line in report.lines():
-        print(line)
-    return 0 if report.all_pass else 1
+def cmd_audit(args):
+    return _print_report(channels.AUDIT_SUITES[args.suite](n_trials=args.n, seed=args.seed))
 
 
 def cmd_experiment(args):
     cfg = _build_config(args)
     data = experiments.EXPERIMENTS[args.command](cfg)
-    out = args.out or data.CSV_NAME
+    out = args.out or os.path.join(cfg.outdir, data.CSV_NAME)  # run_all's location
     experiments.write_csv(out, data.csv())
     print(f"wrote {out}")
-    return _print_report(experiments.RunReport(checks=data.checks(cfg), csv_paths=[out]))
+    return _print_report(experiments.RunReport(checks=data.checks(cfg)))
 
 
 def cmd_run_all(args):
@@ -123,8 +114,9 @@ def build_parser():
 
     p = sub.add_parser("stab", help="stabilizer vertices and polytope distances")
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--distance", metavar="STATEFILE")
+    action = p.add_mutually_exclusive_group(required=True)
+    action.add_argument("--list", action="store_true")
+    action.add_argument("--distance", metavar="STATEFILE")
     p.set_defaults(fn=cmd_stab)
 
     p = sub.add_parser("audit", help="randomized hierarchy audits")

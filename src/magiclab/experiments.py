@@ -306,16 +306,15 @@ AUDITS_HEADER = ("suite", "trials", "passed", "worst_margin")
 @dataclass(frozen=True)
 class RunReport:
     checks: list            # (name, passed, detail) triples
-    csv_paths: list
 
     @property
-    def all_pass(self):
+    def passed(self):
         return all(ok for _, ok, _ in self.checks)
 
     def lines(self):
         for name, ok, detail in self.checks:
             yield f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
-        yield f"overall={'PASS' if self.all_pass else 'FAIL'}"
+        yield f"overall={'PASS' if self.passed else 'FAIL'}"
 
 
 def run_all(cfg):
@@ -332,8 +331,7 @@ def run_all(cfg):
                        f"worst_margin={report.worst_margin:.3e} trials={trials}"))
         audit_blocks.append((name, [[trials, int(report.passed), report.worst_margin]]))
 
-    paths = [os.path.join(cfg.outdir, name) for name in (*(d.CSV_NAME for d in results), "audits.csv")]
-    for path, data in zip(paths, results):
-        write_csv(path, data.csv())
-    write_csv(paths[-1], csv_text(AUDITS_HEADER, audit_blocks, []))
-    return RunReport(checks=checks, csv_paths=paths)
+    for data in results:
+        write_csv(os.path.join(cfg.outdir, data.CSV_NAME), data.csv())
+    write_csv(os.path.join(cfg.outdir, "audits.csv"), csv_text(AUDITS_HEADER, audit_blocks, []))
+    return RunReport(checks=checks)

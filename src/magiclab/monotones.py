@@ -87,9 +87,7 @@ def distance_magic(rho):
     return float(stabilizer.polytope_distance_batch(rho[None], verts)[0][0, 1])
 
 
-def distance_coherence(rho):
-    """Minimum trace distance to the incoherent (diagonal) states."""
-    return stabilizer.incoherent_distance(rho)
+distance_coherence = stabilizer.incoherent_distance
 
 
 def negativity(rho, dims):
@@ -122,8 +120,7 @@ def cw_coherence(rho):
     convex and piecewise linear in lambda, hence minimal at a breakpoint
     lambda = 1 or d m_l. The minimizing lambda comes with :func:`cw_coherence_grid`.
     """
-    rho = validate_density_matrix(rho)
-    return float(cw_coherence_grid(wigner_batch(rho[None], rho.shape[0])[0])[0])
+    return float(cw_coherence_grid(wigner(rho))[0])
 
 
 def cw_coherence_grid(w):

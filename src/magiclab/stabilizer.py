@@ -17,12 +17,15 @@ simplex-constrained least squares for the weights. The FISTA step is 1/L_T,
 with L_T = lambda_max(P G P) the curvature of the vertex Gram matrix G on
 the sum-zero directions (P = I - J/m, J the all-ones matrix): a move along
 the all-ones direction only shifts the gradient by a constant, which the
-simplex projection removes. For the mutually unbiased stabilizer vertices
-G = J/d + blockdiag(I - J/d), so L_T = 1 where lambda_max(G) is d + 1, and
-for the basis projectors G = I. Every distance comes as a certified bracket
-[lower, upper]. The upper bound is the trace distance at the current
-feasible weights. The lower bound is trace-norm duality: any Hermitian X
-with ||X||_inf <= 1/2 gives
+simplex projection removes. L_T = 1 for both vertex families, so the step
+is 1. The stabilizer vertices are d + 1 mutually unbiased bases, so
+G = J/d + B, B = blockdiag(I - J/d) a nonzero projector onto sum-zero
+vectors: P J P = 0 and P B P = B. The m basis projectors have G = I and
+P G P = P, a projector for m >= 2; one vertex has P G P = 0, where the
+projection fixes w = 1 at any step. Every distance comes as a certified
+bracket [lower, upper]. The upper bound is the trace distance at the
+current feasible weights. The lower bound is trace-norm duality: any
+Hermitian X with ||X||_inf <= 1/2 gives
 
     (1/2)||rho - sigma||_1 >= tr(X rho) - max_i tr(X v_i)
 
@@ -30,6 +33,8 @@ for every sigma in the hull. The solver tries two such X, each from one
 eigendecomposition: the ADMM dual, negated and clipped to that ball, and
 half the sign of the residual rho - sum_i w_i v_i. Any X in the ball gives
 a valid bound, so the choice of X affects only how fast states certify.
+Over another vertex list the step 1 may be too long, so a state may end
+uncertified at `max_iter`, but for these two reasons its bracket is sound.
 Each state stops once upper - lower <= tol. A caller that asks a question
 of the distances rather than their values can also stop a state as soon as
 its bracket answers it: :func:`solve_decided` takes a rule that marks the
@@ -256,13 +261,7 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
     vflat = verts.reshape(m, -1)                           # Vw = w @ vflat
     vdual = verts.transpose(0, 2, 1).reshape(m, -1).T      # tr(X v_i) = X.flat @ vdual
 
-    gram = (vflat @ vdual).real
-    centre = np.eye(m) - 1.0 / m
-    # L_T is exactly 1 for the stabilizer and basis sets; rounding off the
-    # eigensolver's last bits keeps their step exact
-    lip = np.round(np.linalg.eigvalsh(centre @ gram @ centre)[-1], 12)
-    lip = lip if lip > 0 else 1.0  # a single vertex: the projection fixes w = 1
-
+    gram = (vflat @ vdual).real  # step 1/L_T = 1: see the module docstring
     w = np.full((n, m), 1.0 / m)
     y = np.zeros_like(rhos)
     tau = np.ones(n)
@@ -288,7 +287,7 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
         b = ((mat - ra + scaled_y).reshape(len(ra), -1) @ vdual).real
         x, z, tk = wa.copy(), wa.copy(), 1.0
         for _ in range(_INNER_STEPS):
-            x_new = _project_simplex_batch(z - (z @ gram + b) / lip)
+            x_new = _project_simplex_batch(z - (z @ gram + b))
             tk_new = (1.0 + np.sqrt(1.0 + 4.0 * tk * tk)) / 2.0
             z = x_new + (tk - 1.0) / tk_new * (x_new - x)
             if np.max(np.abs(x_new - x)) < 1e-14:
@@ -361,14 +360,14 @@ def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):
 
     Over-relaxed ADMM on the split M = rho - Vw: the M update soft-thresholds
     eigenvalues at 1/(2 tau), the w update takes a few warm-started FISTA
-    steps of length 1/L_T on the quadratic simplex subproblem (L_T the Gram
-    curvature on sum-zero directions, see the module docstring), and the
-    dual Y tracks the constraint. Every 10 sweeps each state gets the upper
-    bound (1/2)||rho - Vw||_1 at its feasible weights and a lower bound from
-    two dual witnesses, (1/2) sign(rho - Vw) from the same eigendecomposition
-    and -Y clipped to the dual ball (kept as a running max, from 0 since
-    distances are nonnegative); the per-state penalty tau grows when the
-    split residual lags. A state stops when upper - lower <= tol.
+    steps of length 1 (see the module docstring) on the quadratic simplex
+    subproblem, and the dual Y tracks the constraint. Every 10 sweeps each
+    state gets the upper bound (1/2)||rho - Vw||_1 at its feasible weights
+    and a lower bound from two dual witnesses, (1/2) sign(rho - Vw) from the
+    same eigendecomposition and -Y clipped to the dual ball (kept as a
+    running max, from 0 since distances are nonnegative); the per-state
+    penalty tau grows when the split residual lags. A state stops when
+    upper - lower <= tol.
 
     Returns (bounds, weights, iterations, certified): `bounds` is (n, 2) with
     columns [lower, upper], the upper bound evaluated at `weights`, and
@@ -383,6 +382,8 @@ def polytope_distance(rho, vertex_set):
     of a plain vertex list), with its certified lower bound."""
     rho = validate_density_matrix(rho)
     verts = vertex_set.projectors if isinstance(vertex_set, StabilizerVertexSet) else np.asarray(vertex_set)
+    if verts.ndim != 3 or len(verts) == 0 or verts.shape[1] != verts.shape[2]:
+        raise ValueError(f"vertices must be an (m >= 1, d, d) stack, got shape {verts.shape}")
     if verts.shape[1] != rho.shape[0]:
         raise ValueError(f"dimension mismatch: state {rho.shape[0]}, vertices {verts.shape[1]}")
     bounds, w, iters, certified = polytope_distance_batch(rho[None], verts)

@@ -19,6 +19,15 @@ def test_kraus_rejects_non_finite_entries(bad):
         ch.KrausChannel(kraus=[[[bad, 0], [0, 1]]])
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: ch.KrausChannel(kraus=np.eye(3)), r"\(k, d_out, d_in\) stack, got shape \(3, 3\)"),
+    (lambda: ch.estimate_cm(np.eye(3) / 3, -1), "n_trials >= 0, got -1"),
+], ids=["kraus_matrix", "estimate_cm_negative_trials"])
+def test_boundary_checks_name_the_violation(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 MIXED_VS_BASIS = (np.eye(3)[None] / 3, st.basis_projectors(3))
 TOLERANT_CALLS = {
     "classify": lambda **kw: ch.classify(ch.identity_channel(3), st.stabilizer_pure_states(3), **kw),

@@ -1,4 +1,5 @@
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import magiclab
-from magiclab import linalg, phasespace as ps, stateio
+from magiclab import channels, cli, linalg, phasespace as ps, stateio
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args):
@@ -71,6 +74,23 @@ def test_stab_list_round_trips():
     assert all(abs(np.linalg.norm(k) - 1) < 1e-12 for k in kets)
 
 
+@pytest.mark.parametrize("dims", ["3,x", "3;2"])
+def test_monotones_command_rejects_malformed_dims(strange_file, capsys, dims):
+    assert cli.main(["monotones", "--state", strange_file, "--dims", dims]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --dims needs subsystem dims like 3,2, got {dims!r}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--list", "--distance", "rho.txt"]], ids=["neither", "both"])
+def test_stab_needs_exactly_one_of_list_and_distance(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stab", *flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: magiclab stab")
+    assert "--list" in err.splitlines()[-1] and "--distance" in err.splitlines()[-1]
+
+
 def test_stab_distance(strange_file):
     res = run_cli("stab", "--dim", "3", "--distance", strange_file)
     assert res.returncode == 0
@@ -91,6 +111,13 @@ def test_audit_command_exit_codes():
     assert "passed=True" in res.stdout
     res = run_cli("audit", "--suite", "gso", "--n", "100", "--seed", "3")
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize("suite", sorted(channels.AUDIT_SUITES))
+def test_audit_command_output_is_pinned(capsys, suite):
+    # `magiclab audit --suite S --n 200 --seed 0`, in-process, against tests/golden/
+    assert cli.main(["audit", "--suite", suite, "--n", "200", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"audit_{suite}.txt").read_text()
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -187,6 +214,37 @@ def test_sweep_command(tmp_path):
     assert out.exists()
     header = out.read_text().splitlines()[0]
     assert header.startswith("p,msn_strange_white")
+
+
+def test_experiment_commands_write_where_run_all_does(tmp_path, monkeypatch, capsys):
+    # <outdir>/<name>.csv with outdir from the config file, as run-all writes it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("outdir=elsewhere\nsamples=300\nresult1_trials=20\n"
+                                    "lp_trials=20\nselective_trials=20\ngso_trials=20\n")
+    assert cli.main(["sweep", "--config", "c.cfg"]) == 0
+    out = os.path.join("elsewhere", "sweep.csv")
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {out}"
+    assert not (tmp_path / "sweep.csv").exists()
+    written = (tmp_path / out).read_bytes()
+    (tmp_path / out).unlink()
+    assert cli.main(["run-all", "--config", "c.cfg"]) == 0
+    assert (tmp_path / out).read_bytes() == written
+
+
+def test_experiment_commands_default_to_results(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"wrote {os.path.join('results', 'sweep.csv')}"
+    assert (tmp_path / "results" / "sweep.csv").exists()
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_experiment_out_flag_names_the_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("outdir=elsewhere\n")
+    assert cli.main(["sweep", "--config", "c.cfg", "--out", "mine.csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "wrote mine.csv"
+    assert (tmp_path / "mine.csv").exists() and not (tmp_path / "elsewhere").exists()
 
 
 def test_usage_error_exit_code():

@@ -227,7 +227,7 @@ def test_run_all_passes_and_is_deterministic(tmp_path):
     cfg_b = small_cfg(outdir=str(tmp_path / "b"))
     report_a = ex.run_all(cfg_a)
     report_b = ex.run_all(cfg_b)
-    assert report_a.all_pass
+    assert report_a.passed
     for name in ("sweep.csv", "coherence_scatter.csv", "entanglement_scatter.csv", "audits.csv"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
@@ -252,7 +252,7 @@ def test_run_all_sweep_and_scatter_bytes_pinned(tmp_path):
 def test_run_all_negative_control(tmp_path):
     # machine-precision residuals cannot satisfy an absurd 1e-20 tolerance
     report = ex.run_all(small_cfg(tolerance=1e-20, outdir=str(tmp_path)))
-    assert not report.all_pass
+    assert not report.passed
     failed = [name for name, ok, _ in report.checks if not ok]
     assert "sweep_residual" in failed
 

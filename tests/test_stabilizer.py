@@ -224,11 +224,30 @@ def test_polytope_distance_vertex(qutrit_vertices):
     assert res.weights[4] > 1 - 1e-6
 
 
-@pytest.mark.parametrize("plain", [False, True], ids=["vertex_set", "vertex_list"])
-def test_polytope_distance_rejects_dimension_mismatch(qutrit_vertices, plain):
-    verts = qutrit_vertices.projectors if plain else qutrit_vertices
-    with pytest.raises(ValueError, match="dimension mismatch: state 2, vertices 3"):
+@pytest.mark.parametrize("verts, match", [
+    (st.stabilizer_pure_states(3), "dimension mismatch: state 2, vertices 3"),
+    (st.stabilizer_pure_states(3).projectors, "dimension mismatch: state 2, vertices 3"),
+    ([], r"\(m >= 1, d, d\) stack, got shape \(0,\)"),
+    (np.eye(2), r"\(m >= 1, d, d\) stack, got shape \(2, 2\)"),
+], ids=["vertex_set", "vertex_list", "empty", "one_matrix"])
+def test_polytope_distance_rejects_dimension_mismatch(verts, match):
+    # a vertex stack of the wrong shape is named, not left to fail inside numpy
+    with pytest.raises(ValueError, match=match):
         st.polytope_distance(np.eye(2) / 2, verts)
+
+
+@pytest.mark.parametrize("verts, top", [(st.stabilizer_pure_states(d).projectors, 1.0) for d in (2, 3)]
+                         + [(st.basis_projectors(d), 1.0) for d in (2, 3, 4, 5)]
+                         + [(st.basis_projectors(3)[:1], 0.0)],
+                         ids=["stabilizer_2", "stabilizer_3", *(f"basis_{d}" for d in (2, 3, 4, 5)), "one_vertex"])
+def test_gram_curvature_on_the_simplex_is_one(verts, top):
+    # the solver's FISTA step is 1, which needs lambda_max(P G P) = 1 for the
+    # vertex Gram matrix G and P = I - J/m (0 for one vertex, where the
+    # projection fixes w = 1 at any step)
+    m = len(verts)
+    gram = np.einsum("aij,bji->ab", verts, verts).real
+    centre = np.eye(m) - 1.0 / m
+    assert abs(np.linalg.eigvalsh(centre @ gram @ centre)[-1] - top) <= 1e-12
 
 
 def test_polytope_distance_maximally_mixed(qutrit_vertices):
