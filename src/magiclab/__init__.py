@@ -3,7 +3,7 @@
 from .linalg import (basis_ket, dm_from_pure, maximally_coherent_state,
                      maximally_mixed, norrell_state, partial_trace,
                      partial_transpose, random_mixed, random_pure,
-                     strange_state, tensor, trace_distance)
+                     strange_state, tensor)
 from .phasespace import (displacement, line_sums, phase_point_ops,
                          qutrit_closed_form, striations, wigner)
 from .stabilizer import (PolytopeResult, StabilizerVertexSet,

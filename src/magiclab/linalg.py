@@ -63,15 +63,6 @@ def validate_density_matrix(rho):
     return rho
 
 
-def is_density_matrix(rho):
-    """Boolean form of :func:`validate_density_matrix`."""
-    try:
-        validate_density_matrix(rho)
-    except ValueError:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -198,17 +189,3 @@ def partial_transpose(rho, dims, on):
     t = rho.reshape(rho.shape[:b] + dims + dims)
     t = np.swapaxes(t, b + on, b + on + n)
     return t.reshape(rho.shape)
-
-
-def trace_norm(m):
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-
-
-def trace_distance(a, b):
-    """(1/2) ||a - b||_1 for Hermitian matrices of equal dimension."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * trace_norm(a - b)

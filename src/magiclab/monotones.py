@@ -83,8 +83,7 @@ def lp_coherence_batch(rhos, p):
 def distance_magic(rho):
     """Minimum trace distance to the stabilizer polytope of rho's dimension (2 or 3)."""
     rho = validate_density_matrix(rho)
-    verts = stabilizer.stabilizer_pure_states(rho.shape[0]).projectors
-    return float(stabilizer.polytope_distance_batch(rho[None], verts)[0][0, 1])
+    return float(stabilizer._free_distances(rho[None], magic=True)[0])
 
 
 distance_coherence = stabilizer.incoherent_distance
@@ -158,10 +157,8 @@ def all_monotones(rho, dims=None):
         value, lam = cw_coherence_grid(w)
         out.append(MonotoneReport("cw_coherence", float(value), {"lambda": float(lam)}))
     if d == 3:
-        for name, verts in (("distance_magic", stabilizer.stabilizer_pure_states(3).projectors),
-                            ("distance_coherence", stabilizer.basis_projectors(3))):
-            distance = stabilizer.polytope_distance_batch(rho[None], verts)[0][0, 1]
-            out.append(MonotoneReport(name, float(distance)))
+        for name, magic in (("distance_magic", True), ("distance_coherence", False)):
+            out.append(MonotoneReport(name, float(stabilizer._free_distances(rho[None], magic)[0])))
     if dims is not None:
         out.append(MonotoneReport("negativity", float(max(0.0, negativity_batch(rho, dims)))))
     return out

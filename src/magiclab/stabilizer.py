@@ -46,6 +46,17 @@ the distance to the incoherent states. (A plain Frank-Wolfe scheme with
 exact line search stalls here: the steepest-descent vertex computed from a
 subgradient need not be a descent direction at the eigenvalue crossings
 where the optimum sits.)
+
+`incoherent_distance` and `monotones.distance_magic` solve only the states
+with no exact value. For diagonal sigma, rho - sigma is traceless with
+eigenvalues +-sqrt(x^2 + |rho_01|^2), so a qubit's incoherent distance is
+|rho_01|, and a state whose off-diagonal entries are all 0 is at distance 0.
+Two qubits lie at half the distance of their Bloch vectors, so a qubit's
+magic distance is (1/2)||r - P(r)||_2, with P the projection onto the
+octahedron ||r||_1 <= 1: r inside, else the simplex projection of |r| with
+r's signs (Duchi et al., ICML 2008). A qutrit with min tr(F rho) >= 1 + 1e-12
+over the facets is a member, at distance 0: that margin is far above the
+rounding of tr(F rho). Boundary states, such as the vertices, are solved.
 """
 
 from dataclasses import dataclass
@@ -333,10 +344,17 @@ def solve_decided(problems, decide=None, tol=1e-9, max_iter=5000):
     bracket update decide(*bounds), given each problem's (n, 2) [lower,
     upper] array, returns a boolean mask of the states whose question is
     answered, and those stop in every problem, uncertified. Such a solve
-    also reads its brackets after sweeps 1 and 2 (see `_admm`).
+    also reads its brackets after sweeps 1 and 2 (see `_admm`). Vertices
+    that are not an (m >= 1, d, d) stack of the states' d raise ValueError.
     """
     if not np.isfinite(tol) or max_iter < 1:
         raise ValueError(f"need a finite tol and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
+    for rhos, vertices in problems:
+        shape, d = np.shape(vertices), np.shape(rhos)[-1]
+        if len(shape) != 3 or shape[0] == 0 or shape[1] != shape[2]:
+            raise ValueError(f"vertices must be an (m >= 1, d, d) stack, got shape {shape}")
+        if shape[1] != d:
+            raise ValueError(f"dimension mismatch: state {d}, vertices {shape[1]}")
     solvers = [_admm(rhos, vertices, tol, max_iter, decide is not None) for rhos, vertices in problems]
     bounds = [None] * len(solvers)
     results = [None] * len(solvers)
@@ -356,18 +374,9 @@ def solve_decided(problems, decide=None, tol=1e-9, max_iter=5000):
 
 def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):
     """min_w (1/2)||rho - sum_i w_i v_i||_1 over the simplex, for a state stack,
-    bracketed by a dual lower bound.
-
-    Over-relaxed ADMM on the split M = rho - Vw: the M update soft-thresholds
-    eigenvalues at 1/(2 tau), the w update takes a few warm-started FISTA
-    steps of length 1 (see the module docstring) on the quadratic simplex
-    subproblem, and the dual Y tracks the constraint. Every 10 sweeps each
-    state gets the upper bound (1/2)||rho - Vw||_1 at its feasible weights
-    and a lower bound from two dual witnesses, (1/2) sign(rho - Vw) from the
-    same eigendecomposition and -Y clipped to the dual ball (kept as a
-    running max, from 0 since distances are nonnegative); the per-state
-    penalty tau grows when the split residual lags. A state stops when
-    upper - lower <= tol.
+    bracketed by a dual lower bound, by the ADMM solver of the module docstring.
+    The lower bound is a running max from 0, and a state's penalty tau grows
+    every 10 sweeps while its split residual lags.
 
     Returns (bounds, weights, iterations, certified): `bounds` is (n, 2) with
     columns [lower, upper], the upper bound evaluated at `weights`, and
@@ -381,11 +390,7 @@ def polytope_distance(rho, vertex_set):
     """Minimum trace distance from rho to the convex hull of a vertex set (or
     of a plain vertex list), with its certified lower bound."""
     rho = validate_density_matrix(rho)
-    verts = vertex_set.projectors if isinstance(vertex_set, StabilizerVertexSet) else np.asarray(vertex_set)
-    if verts.ndim != 3 or len(verts) == 0 or verts.shape[1] != verts.shape[2]:
-        raise ValueError(f"vertices must be an (m >= 1, d, d) stack, got shape {verts.shape}")
-    if verts.shape[1] != rho.shape[0]:
-        raise ValueError(f"dimension mismatch: state {rho.shape[0]}, vertices {verts.shape[1]}")
+    verts = vertex_set.projectors if isinstance(vertex_set, StabilizerVertexSet) else vertex_set
     bounds, w, iters, certified = polytope_distance_batch(rho[None], verts)
     lower, upper = bounds[0]
     return PolytopeResult(distance=float(upper), lower=float(lower), gap=float(upper - lower),
@@ -406,4 +411,24 @@ def in_polytope(rho, vertex_set, tol=1e-7):
 def incoherent_distance(rho):
     """Minimum trace distance to the diagonal (incoherent) states."""
     rho = validate_density_matrix(rho)
-    return float(polytope_distance_batch(rho[None], basis_projectors(rho.shape[0]))[0][0, 1])
+    return float(_free_distances(rho[None], magic=False)[0])
+
+
+def _free_distances(rhos, magic):
+    """Distances of a validated (n, d, d) stack to the stabilizer polytope (`magic`)
+    or the incoherent states: exact where the module docstring says, else solved."""
+    d = rhos.shape[-1]
+    if d == 2:
+        off = rhos[:, 0, 1]
+        if not magic:
+            return np.hypot(off.real, off.imag)  # rounds as abs(z); np.abs of an array may not
+        # |r| entrywise: the sign flips of the Bloch vector r fix the octahedron
+        r = np.abs(np.stack([2 * off.real, 2 * off.imag, (rhos[:, 0, 0] - rhos[:, 1, 1]).real], axis=1))
+        outside = r.sum(axis=1) > 1.0
+        return np.where(outside, 0.5 * np.linalg.norm(r - _project_simplex_batch(r), axis=1), 0.0)
+    verts = stabilizer_pure_states(d).projectors if magic else basis_projectors(d)
+    free = in_polytope_batch(rhos, -1e-12) if magic else ~rhos[:, ~np.eye(d, dtype=bool)].any(axis=1)
+    out = np.zeros(len(rhos))
+    if not free.all():
+        out[~free] = polytope_distance_batch(rhos[~free], verts)[0][:, 1]
+    return out

@@ -24,6 +24,24 @@ def named_states():
     }
 
 
+def is_density_matrix(rho):
+    """Boolean form of :func:`linalg.validate_density_matrix`."""
+    try:
+        linalg.validate_density_matrix(rho)
+    except ValueError:
+        return False
+    return True
+
+
+def trace_distance(a, b):
+    """(1/2) ||a - b||_1 for Hermitian matrices of equal dimension."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
 def random_qutrit_batch(n, seed):
     """Half Haar-pure, half HS-mixed qutrit states, stacked (n, 3, 3)."""
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ import numpy as np
 
 from magiclab import channels as ch, experiments as ex, linalg, monotones as mo
 from magiclab import phasespace as ps
-from conftest import cw_grid_oracle, random_qutrit_batch
+from conftest import cw_grid_oracle, random_qutrit_batch, trace_distance
 
 
 def report(number, name, ok, detail):
@@ -87,7 +87,7 @@ def test_acceptance_6_stabilizer_enumeration(qutrit_vertices, qubit_vertices):
     counts_ok = len(qutrit_vertices) == 12 and len(qubit_vertices) == 6
     msn_worst = max(float(np.abs(ps.wigner(v)).sum() - 1) for v in qutrit_vertices.projectors)
     basis_ok = all(
-        min(linalg.trace_distance(linalg.dm_from_pure(linalg.basis_ket(3, i)), v)
+        min(trace_distance(linalg.dm_from_pure(linalg.basis_ket(3, i)), v)
             for v in qutrit_vertices.projectors) < 1e-10
         for i in range(3))
     ok = counts_ok and msn_worst < 1e-10 and basis_ok

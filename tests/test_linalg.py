@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from magiclab import channels, linalg
+from conftest import is_density_matrix, trace_distance
 
 
 def test_dm_from_pure_basis():
@@ -30,13 +31,13 @@ def test_dm_from_pure_rejects_unnormalized():
 
 
 def test_validators_reject_non_finite():
-    assert linalg.is_density_matrix(linalg.maximally_mixed(3))
+    assert is_density_matrix(linalg.maximally_mixed(3))
     for bad in (np.nan, np.inf, complex(0, np.nan)):
         rho = linalg.maximally_mixed(3)
         rho[0, 1] = rho[1, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             linalg.validate_density_matrix(rho)
-        assert not linalg.is_density_matrix(rho)
+        assert not is_density_matrix(rho)
         psi = linalg.strange_state()
         psi[0] = bad
         with pytest.raises(ValueError, match="non-finite"):
@@ -222,27 +223,27 @@ def test_partial_transpose_involution():
 
 def test_trace_distance_basics():
     rho = linalg.random_mixed(3, seed=8)
-    assert linalg.trace_distance(rho, rho) < 1e-14
+    assert trace_distance(rho, rho) < 1e-14
     a = linalg.dm_from_pure(linalg.basis_ket(3, 0))
     b = linalg.dm_from_pure(linalg.basis_ket(3, 1))
-    assert abs(linalg.trace_distance(a, b) - 1) < 1e-12
+    assert abs(trace_distance(a, b) - 1) < 1e-12
     # eigenvalues of |0><0| - I/3 are {2/3, -1/3, -1/3}
-    assert abs(linalg.trace_distance(a, linalg.maximally_mixed(3)) - 2 / 3) < 1e-12
+    assert abs(trace_distance(a, linalg.maximally_mixed(3)) - 2 / 3) < 1e-12
 
 
 def test_trace_distance_symmetry_triangle():
     rng = np.random.default_rng(9)
     for _ in range(20):
         a, b, c = (linalg.random_mixed(3, seed=rng) for _ in range(3))
-        dab = linalg.trace_distance(a, b)
-        assert abs(dab - linalg.trace_distance(b, a)) < 1e-12
-        assert dab <= linalg.trace_distance(a, c) + linalg.trace_distance(c, b) + 1e-12
+        dab = trace_distance(a, b)
+        assert abs(dab - trace_distance(b, a)) < 1e-12
+        assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-12
         assert -1e-15 <= dab <= 1 + 1e-12
 
 
 def test_trace_distance_dim_mismatch():
     with pytest.raises(ValueError):
-        linalg.trace_distance(linalg.maximally_mixed(2), linalg.maximally_mixed(3))
+        trace_distance(linalg.maximally_mixed(2), linalg.maximally_mixed(3))
 
 
 def test_trace_distance_contractive_under_channels():
@@ -251,8 +252,8 @@ def test_trace_distance_contractive_under_channels():
         rho = linalg.random_mixed(3, seed=rng)
         sigma = linalg.random_mixed(3, seed=rng)
         lam = channels.sample_channel(3, int(rng.integers(1, 10)), rng)
-        before = linalg.trace_distance(rho, sigma)
-        after = linalg.trace_distance(channels.apply(lam, rho), channels.apply(lam, sigma))
+        before = trace_distance(rho, sigma)
+        after = trace_distance(channels.apply(lam, rho), channels.apply(lam, sigma))
         assert after <= before + 1e-10
 
 

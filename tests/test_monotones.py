@@ -206,6 +206,55 @@ def test_distance_magic_below_coherence(qutrit_vertices):
     assert np.all(d_stab[:, 1] <= d_inc[:, 1] + 1e-9)
 
 
+def test_qubit_distance_magic_lies_in_the_certified_bracket(qubit_vertices):
+    # the closed form (1/2)||r - P(r)||_2 against the solver's certified bracket
+    rng = np.random.default_rng(5)
+    rhos = np.stack([linalg.random_mixed(2, seed=rng) for _ in range(300)]
+                    + [linalg.dm_from_pure(linalg.random_pure(2, rng)) for _ in range(300)])
+    bounds, _, _, certified = st.polytope_distance_batch(rhos, qubit_vertices.projectors)
+    exact = np.array([mo.distance_magic(rho) for rho in rhos])
+    assert certified.all()
+    assert np.all(bounds[:, 0] <= exact + 1e-12) and np.all(exact <= bounds[:, 1] + 1e-12)
+    assert 0 < np.count_nonzero(exact == 0.0) < len(rhos)  # both sides of the octahedron
+    # Bloch vector (1, 1, 1)/sqrt(3): (1 - 1/sqrt(3))/2 from its nearest point (1, 1, 1)/3
+    theta = np.arccos(1 / np.sqrt(3))
+    ket = np.array([np.cos(theta / 2), np.exp(1j * np.pi / 4) * np.sin(theta / 2)])
+    assert abs(mo.distance_magic(linalg.dm_from_pure(ket)) - (1 - 1 / np.sqrt(3)) / 2) <= 1e-15
+    for vertex in qubit_vertices.projectors:
+        assert mo.distance_magic(vertex) == 0.0
+
+
+def test_states_inside_the_free_sets_are_at_distance_exactly_zero(qutrit_vertices):
+    rng = np.random.default_rng(58)
+    for _ in range(20):
+        mixture = np.einsum("m,mij->ij", rng.dirichlet(np.ones(12)), qutrit_vertices.projectors)
+        diagonal = np.diag(rng.dirichlet(np.ones(3))).astype(complex)
+        for rho in (mixture, diagonal):
+            values = {r.name: r.value for r in mo.all_monotones(rho)}
+            assert mo.distance_magic(rho) == values["distance_magic"] == 0.0
+            if rho is diagonal:
+                assert mo.distance_coherence(rho) == values["distance_coherence"] == 0.0
+        assert st.incoherent_distance(np.diag(rng.dirichlet(np.ones(5))).astype(complex)) == 0.0
+
+
+def test_distances_outside_the_free_sets_are_the_solvers(qutrit_vertices, named_states):
+    # vertices sit on the boundary and pure non-stabilizer states, and the
+    # strange state mixed with I/3 below t = 3/4, outside: all are solved
+    rng = np.random.default_rng(59)
+    strange, mixed = named_states["strange"], named_states["mixed"]
+    rhos = (list(qutrit_vertices.projectors)
+            + [linalg.dm_from_pure(linalg.random_pure(3, rng)) for _ in range(8)]
+            + [(1 - t) * strange + t * mixed for t in (0.1, 0.4, 0.7)])
+    basis = st.basis_projectors(3)
+    for rho in rhos:
+        values = {r.name: r.value for r in mo.all_monotones(rho)}
+        solved = st.polytope_distance_batch(rho[None], qutrit_vertices.projectors)[0][0, 1]
+        assert mo.distance_magic(rho) == values["distance_magic"] == solved
+        if np.any(rho[~np.eye(3, dtype=bool)]):
+            solved = st.polytope_distance_batch(rho[None], basis)[0][0, 1]
+            assert mo.distance_coherence(rho) == values["distance_coherence"] == solved
+
+
 def test_negativity_product_zero():
     rng = np.random.default_rng(50)
     for _ in range(10):
@@ -366,6 +415,21 @@ def _count_validations_and_grids(monkeypatch, fn, rho):
 def test_all_monotones_validates_once_and_builds_one_grid(monkeypatch, named_states):
     calls = _count_validations_and_grids(monkeypatch, mo.all_monotones, named_states["strange"])
     assert calls == {"validate": 1, "wigner_batch": 1}
+
+
+def test_exact_distances_reach_no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver was reached")
+
+    monkeypatch.setattr(st, "solve_decided", no_solve)
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        for qubit in (linalg.random_mixed(2, seed=rng), linalg.dm_from_pure(linalg.random_pure(2, rng))):
+            st.incoherent_distance(qubit)
+            mo.distance_magic(qubit)
+    mo.all_monotones(np.diag([0.2, 0.5, 0.3]).astype(complex))
+    with pytest.raises(AssertionError, match="solver was reached"):  # the patch is in the path
+        st.incoherent_distance(linalg.random_mixed(3, seed=rng))
 
 
 @pytest.mark.parametrize("entry", ["distance_magic", "incoherent_distance"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from magiclab import linalg, phasespace as ps, stabilizer as st
-from conftest import pure_trace_distance, random_qutrit_batch, slsqp_polytope_oracle
+from conftest import pure_trace_distance, random_qutrit_batch, slsqp_polytope_oracle, trace_distance
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -39,13 +39,13 @@ def test_vertex_counts(qutrit_vertices, qubit_vertices):
 def test_vertices_contain_basis_projectors(qutrit_vertices):
     for i in range(3):
         proj = linalg.dm_from_pure(linalg.basis_ket(3, i))
-        dists = [linalg.trace_distance(proj, v) for v in qutrit_vertices.projectors]
+        dists = [trace_distance(proj, v) for v in qutrit_vertices.projectors]
         assert min(dists) < 1e-10
 
 
 def test_vertices_pairwise_distinct(qutrit_vertices):
     for a, b in itertools.combinations(qutrit_vertices.projectors, 2):
-        assert linalg.trace_distance(a, b) > 1e-8
+        assert trace_distance(a, b) > 1e-8
 
 
 def test_orbit_closure(qutrit_vertices, qubit_vertices):
@@ -224,16 +224,25 @@ def test_polytope_distance_vertex(qutrit_vertices):
     assert res.weights[4] > 1 - 1e-6
 
 
-@pytest.mark.parametrize("verts, match", [
-    (st.stabilizer_pure_states(3), "dimension mismatch: state 2, vertices 3"),
-    (st.stabilizer_pure_states(3).projectors, "dimension mismatch: state 2, vertices 3"),
-    ([], r"\(m >= 1, d, d\) stack, got shape \(0,\)"),
-    (np.eye(2), r"\(m >= 1, d, d\) stack, got shape \(2, 2\)"),
-], ids=["vertex_set", "vertex_list", "empty", "one_matrix"])
-def test_polytope_distance_rejects_dimension_mismatch(verts, match):
-    # a vertex stack of the wrong shape is named, not left to fail inside numpy
+def _batch_distance(rho, verts):
+    return st.polytope_distance_batch(rho[None], verts)
+
+
+@pytest.mark.parametrize("entry, verts, match", [
+    (st.polytope_distance, st.stabilizer_pure_states(3), "dimension mismatch: state 2, vertices 3"),
+    (st.polytope_distance, st.stabilizer_pure_states(3).projectors, "dimension mismatch: state 2, vertices 3"),
+    (st.polytope_distance, [], r"\(m >= 1, d, d\) stack, got shape \(0,\)"),
+    (st.polytope_distance, np.eye(2), r"\(m >= 1, d, d\) stack, got shape \(2, 2\)"),
+    (_batch_distance, [], r"\(m >= 1, d, d\) stack, got shape \(0,\)"),
+    (_batch_distance, np.eye(2), r"\(m >= 1, d, d\) stack, got shape \(2, 2\)"),
+    (_batch_distance, st.stabilizer_pure_states(3).projectors, "dimension mismatch: state 2, vertices 3"),
+], ids=["vertex_set", "vertex_list", "empty", "one_matrix", "batch_empty", "batch_one_matrix",
+        "batch_mismatch"])
+def test_polytope_distance_rejects_dimension_mismatch(entry, verts, match):
+    # a vertex stack of the wrong shape is named, not left to fail inside numpy;
+    # the check sits in solve_decided, the one solve entry
     with pytest.raises(ValueError, match=match):
-        st.polytope_distance(np.eye(2) / 2, verts)
+        entry(np.eye(2) / 2, verts)
 
 
 @pytest.mark.parametrize("verts, top", [(st.stabilizer_pure_states(d).projectors, 1.0) for d in (2, 3)]
@@ -347,6 +356,15 @@ def test_qubit_incoherent_distance_bracket():
     assert np.all(bounds[:, 1] - bounds[:, 0] <= 1e-9)
     assert np.all(bounds[:, 0] <= exact + 1e-12)
     assert np.all(exact <= bounds[:, 1] + 1e-12)
+
+
+def test_qubit_incoherent_distance_is_the_off_diagonal_modulus():
+    # the closed form: equal to |rho_01| of the validated matrix, bit for bit
+    rng = np.random.default_rng(41)
+    qubits = ([linalg.random_mixed(2, seed=rng) for _ in range(40)]
+              + [linalg.dm_from_pure(linalg.random_pure(2, rng)) for _ in range(40)])
+    for q in qubits:
+        assert st.incoherent_distance(q) == abs(linalg.validate_density_matrix(q)[0, 1])
 
 
 _entries = hst.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
