@@ -61,7 +61,7 @@ rounding of tr(F rho). Boundary states, such as the vertices, are solved.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from types import MappingProxyType
 
 import numpy as np
@@ -201,15 +201,21 @@ def basis_projectors(d):
 # trace-distance minimization over a vertex simplex (ADMM splitting)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _ranks(m):
+    """The row 1, 2, ..., m."""
+    return np.arange(1, m + 1)
+
+
 def _project_simplex_batch(v):
     """Row-wise Euclidean projection onto the probability simplex."""
     u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, v.shape[1] + 1)
-    cond = u - css / idx > 0
-    last = cond.cumsum(axis=1).argmax(axis=1)
-    shift = css[np.arange(len(v)), last] / (last + 1.0)
-    return np.maximum(v - shift[:, None], 0.0)
+    css = u.cumsum(axis=1)
+    css -= 1.0
+    shifts = css / _ranks(v.shape[1])
+    # u > shifts holds at index 0, and the last index where it holds gives the shift
+    last = (u > shifts)[:, ::-1].argmax(axis=1)
+    return np.maximum(v - shifts[np.arange(len(v)), v.shape[1] - 1 - last, None], 0.0)
 
 
 @dataclass(frozen=True)
@@ -247,6 +253,9 @@ _INNER_STEPS = 5  # FISTA steps per weight half-step, warm-started
 _RELAX = 1.6      # ADMM over-relaxation of the trace-norm block
 # the sweeps after which a decision-directed solve reads its brackets too
 _EARLY_BRACKETS = (1, 2)
+# FISTA's momentum (t_k - 1)/t_{k+1} per step, t_1 = 1, t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2
+_T = tuple(accumulate(range(_INNER_STEPS), lambda t, _: (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0, initial=1.0))
+_MOMENTA = tuple((t - 1.0) / t_next for t, t_next in zip(_T, _T[1:]))
 
 
 def _admm(rhos, vertices, tol, max_iter, decisive):
@@ -262,10 +271,12 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
     reads them after sweeps 1 and 2, where most decided states already
     stop. The penalty tau keeps its 10-sweep schedule, so an extra read
     changes only when a state stops, never its iterates; a plain solve
-    skips them, since a bracket costs about as much as a sweep and a state
-    needs tens of sweeps to certify.
+    skips them, since a read costs 1 to 2.4 sweeps on qutrits and a state
+    needs tens of sweeps to certify. The active states' iterates stay
+    compacted between reads, where the set shrinks and the weights and
+    sweep counts are written back.
     """
-    rhos = np.asarray(rhos, dtype=complex)
+    rhos = np.ascontiguousarray(rhos, dtype=complex)
     verts = np.asarray(vertices, dtype=complex)
     n, d = rhos.shape[:2]
     m = verts.shape[0]
@@ -274,48 +285,43 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
 
     gram = (vflat @ vdual).real  # step 1/L_T = 1: see the module docstring
     w = np.full((n, m), 1.0 / m)
-    y = np.zeros_like(rhos)
-    tau = np.ones(n)
     bounds = np.tile([0.0, np.inf], (n, 1))  # [lower, upper]
     iters = np.zeros(n, dtype=int)
     certified = np.zeros(n, dtype=bool)
-    active = np.arange(n)
+    # the active states' weights, dual, penalty and state; delta = rho - Vw
+    active, wa, ya, ta, ra = np.arange(n), w, np.zeros_like(rhos), np.ones((n, 1, 1)), rhos
+    delta = None
 
     for sweep in range(1, max_iter + 1):
         if len(active) == 0:
             break
-        wa, ya, ta = w[active], y[active], tau[active]
-        ra = rhos[active]
-        delta = ra - (wa @ vflat).reshape(-1, d, d)
-        scaled_y = ya / ta[:, None, None]
+        if delta is None:
+            delta = ra - (wa @ vflat).reshape(-1, d, d)
+        scaled_y = ya / ta
 
         # trace-norm block: eigenvalue soft threshold
         lam, u = np.linalg.eigh(delta - scaled_y)
-        lam = np.sign(lam) * np.maximum(np.abs(lam) - 0.5 / ta[:, None], 0.0)
+        lam = np.sign(lam) * np.maximum(np.abs(lam) - 0.5 / ta[:, 0], 0.0)
         mat = _RELAX * _from_eigh(u, lam) + (1.0 - _RELAX) * delta
 
         # weight block: min_w ||mat - rho + Vw + y/tau||_F^2 on the simplex
         b = ((mat - ra + scaled_y).reshape(len(ra), -1) @ vdual).real
-        x, z, tk = wa.copy(), wa.copy(), 1.0
-        for _ in range(_INNER_STEPS):
+        x = z = wa
+        for momentum in _MOMENTA:
             x_new = _project_simplex_batch(z - (z @ gram + b))
-            tk_new = (1.0 + np.sqrt(1.0 + 4.0 * tk * tk)) / 2.0
-            z = x_new + (tk - 1.0) / tk_new * (x_new - x)
-            if np.max(np.abs(x_new - x)) < 1e-14:
-                x = x_new
+            step, x = x_new - x, x_new
+            if abs(step).max() < 1e-14:
                 break
-            x, tk = x_new, tk_new
+            z = x_new + momentum * step
         wa = x
 
         delta = ra - (wa @ vflat).reshape(-1, d, d)
         resid = mat - delta
-        ya = ya + ta[:, None, None] * resid
-        w[active] = wa
-        y[active] = ya
-        iters[active] = sweep
+        ya = ya + ta * resid
 
         cadence = sweep % 10 == 0
         if cadence or sweep == max_iter or (decisive and sweep in _EARLY_BRACKETS):
+            w[active], iters[active] = wa, sweep
             lam, u = np.linalg.eigh(delta)
             upper = 0.5 * np.sum(np.abs(lam), axis=1)
             lower = _dual_bound(ra, u, 0.5 * np.sign(lam), vdual)
@@ -324,14 +330,16 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
             lower = np.maximum(lower, bounds[active, 0])
             bounds[active] = np.stack([lower, upper], axis=1)
             if cadence:
-                rp = np.max(np.abs(resid), axis=(1, 2))
-                tau[active] = np.where(rp > 1e-7, ta * 1.5, ta)
+                rp = np.abs(resid).max(axis=(1, 2), keepdims=True)
+                ta = np.where(rp > 1e-7, ta * 1.5, ta)
             done = upper - lower <= tol
-            certified[np.compress(done, active)] = True
-            active = np.compress(~done, active)
+            certified[active[done]] = True
+            keep = ~done
             decided = yield bounds
             if decided is not None:
-                active = active[~decided[active]]
+                keep &= ~decided[active]
+            if not keep.all():
+                active, wa, ya, ta, ra, delta = active[keep], wa[keep], ya[keep], ta[keep], ra[keep], None
 
     return bounds, w, iters, certified
 
@@ -344,17 +352,23 @@ def solve_decided(problems, decide=None, tol=1e-9, max_iter=5000):
     bracket update decide(*bounds), given each problem's (n, 2) [lower,
     upper] array, returns a boolean mask of the states whose question is
     answered, and those stop in every problem, uncertified. Such a solve
-    also reads its brackets after sweeps 1 and 2 (see `_admm`). Vertices
-    that are not an (m >= 1, d, d) stack of the states' d raise ValueError.
+    also reads its brackets after sweeps 1 and 2 (see `_admm`). States that
+    are not an (n, d, d) stack, vertices that are not an (m >= 1, d, d) stack
+    of the states' d, and unequal state counts under a rule raise ValueError.
     """
     if not np.isfinite(tol) or max_iter < 1:
         raise ValueError(f"need a finite tol and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     for rhos, vertices in problems:
-        shape, d = np.shape(vertices), np.shape(rhos)[-1]
+        states, shape = np.shape(rhos), np.shape(vertices)
+        if len(states) != 3 or states[1] != states[2]:
+            raise ValueError(f"states must be an (n, d, d) stack, got shape {states}")
         if len(shape) != 3 or shape[0] == 0 or shape[1] != shape[2]:
             raise ValueError(f"vertices must be an (m >= 1, d, d) stack, got shape {shape}")
-        if shape[1] != d:
-            raise ValueError(f"dimension mismatch: state {d}, vertices {shape[1]}")
+        if shape[1] != states[2]:
+            raise ValueError(f"dimension mismatch: state {states[2]}, vertices {shape[1]}")
+    counts = [len(rhos) for rhos, _ in problems]
+    if decide is not None and len(set(counts)) > 1:
+        raise ValueError(f"a decide rule needs the same number of states in every problem, got {counts}")
     solvers = [_admm(rhos, vertices, tol, max_iter, decide is not None) for rhos, vertices in problems]
     bounds = [None] * len(solvers)
     results = [None] * len(solvers)

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from magiclab import linalg, phasespace as ps, stabilizer as st
+from magiclab import channels, linalg, phasespace as ps, stabilizer as st
 from conftest import pure_trace_distance, random_qutrit_batch, slsqp_polytope_oracle, trace_distance
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -236,13 +237,31 @@ def _batch_distance(rho, verts):
     (_batch_distance, [], r"\(m >= 1, d, d\) stack, got shape \(0,\)"),
     (_batch_distance, np.eye(2), r"\(m >= 1, d, d\) stack, got shape \(2, 2\)"),
     (_batch_distance, st.stabilizer_pure_states(3).projectors, "dimension mismatch: state 2, vertices 3"),
+    (st.polytope_distance_batch, st.basis_projectors(2), r"states must be an \(n, d, d\) stack, got shape \(2, 2\)"),
 ], ids=["vertex_set", "vertex_list", "empty", "one_matrix", "batch_empty", "batch_one_matrix",
-        "batch_mismatch"])
+        "batch_mismatch", "batch_unstacked"])
 def test_polytope_distance_rejects_dimension_mismatch(entry, verts, match):
-    # a vertex stack of the wrong shape is named, not left to fail inside numpy;
-    # the check sits in solve_decided, the one solve entry
+    # a state or vertex stack of the wrong shape is named, not left to fail
+    # inside numpy; the check sits in solve_decided, the one solve entry
     with pytest.raises(ValueError, match=match):
         entry(np.eye(2) / 2, verts)
+
+
+def test_an_empty_state_stack_solves_to_empty_results():
+    bounds, weights, iters, certified = st.polytope_distance_batch(np.zeros((0, 3, 3)), st.basis_projectors(3))
+    assert bounds.shape == (0, 2) and weights.shape == (0, 3) and iters.shape == certified.shape == (0,)
+
+
+@pytest.mark.parametrize("counts", [(2, 5), (5, 2)])
+def test_a_decide_rule_needs_equal_state_counts(counts):
+    # the rule's mask covers the states of every problem, so their counts must agree
+    # (2 then 5 failed inside numpy; 5 then 2 stopped the second problem by the first's mask)
+    verts = st.basis_projectors(3)
+    problems = [(linalg.haar_pure_batch(n, 3, np.random.default_rng(n)), verts) for n in counts]
+    never = lambda *bounds: np.zeros(len(bounds[0]), dtype=bool)  # noqa: E731
+    with pytest.raises(ValueError, match=rf"same number of states in every problem, got \[{counts[0]}, {counts[1]}\]"):
+        st.solve_decided(problems, never)
+    assert [len(res[0]) for res in st.solve_decided(problems)] == list(counts)  # fine without a rule
 
 
 @pytest.mark.parametrize("verts, top", [(st.stabilizer_pure_states(d).projectors, 1.0) for d in (2, 3)]
@@ -331,6 +350,51 @@ def test_early_brackets_change_only_when_a_state_stops(qutrit_vertices, kind):
     assert np.all(iters % 10 == 0)
     _, _, iters, certified = st.polytope_distance_batch(rhos, verts, max_iter=25)
     assert np.all((iters % 10 == 0) | (iters == 25)) and not certified.all()
+
+
+def _solver_digest(results):
+    """SHA-256 of the (bounds, weights, iterations, certified) of each solve."""
+    h = hashlib.sha256()
+    for bounds, weights, iters, certified in results:
+        for arr in (bounds, weights, iters.astype(np.int64), certified):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _solver_digests(monkeypatch):
+    """The digests pinned by `test_solver_output_bits_are_pinned`."""
+    out = {}
+    for d, kind in itertools.product((2, 3), ("stabilizer", "basis")):
+        rng = np.random.default_rng(1717)
+        rhos = np.concatenate([linalg.haar_pure_batch(60, d, rng), linalg.ginibre_dm_batch(60, d, d, rng)])
+        verts = st.stabilizer_pure_states(d).projectors if kind == "stabilizer" else st.basis_projectors(d)
+        out[f"stack_{kind}_{d}"] = _solver_digest([st.polytope_distance_batch(rhos, verts)])
+    verts = st.stabilizer_pure_states(3).projectors
+    out["one_state"] = _solver_digest([st.polytope_distance_batch(rho[None], verts)
+                                       for rho in random_qutrit_batch(5, seed=1718)])
+    solves = []
+    solve = st.solve_decided
+    monkeypatch.setattr(st, "solve_decided", lambda *args: solves.append(solve(*args)) or solves[-1])
+    channels.result1_audit(300, seed=1719)
+    out["result1"] = _solver_digest(solves[0])
+    return out
+
+
+SOLVER_DIGESTS = {
+    "stack_stabilizer_2": "33654f35830b780028c0efedec5846366f2bf9530893c055758e3210d6780444",
+    "stack_basis_2": "7a66bacfdd09f4ab3a64e081cf5d62d828c7d9e7d5e7f3802ca260df3e8133ad",
+    "stack_stabilizer_3": "3c6607c8ff0f6f9aba59c034c3a6cc07179ddfded705e5f087631036832ddcac",
+    "stack_basis_3": "f622bd1f7f4e6efd745d10c5a51fb72429d95d724c01b285a5371c4b01bedbc5",
+    "one_state": "4bf2d0c0d3ed705c178106c182330248e6cd12a6a5fa00911cdc9f9eaa6abcf4",
+    "result1": "a8db1346e1fccc4048f3014ca3c73deefb289bf90ccf411518f36211ecd26ae3",
+}
+
+
+def test_solver_output_bits_are_pinned(monkeypatch):
+    # the solver's bracket, weights, sweep counts and certificates are pinned
+    # bit for bit: a rewrite of its inner loop must reach the same iterates
+    # (a different BLAS may round the gemms differently and move these)
+    assert _solver_digests(monkeypatch) == SOLVER_DIGESTS
 
 
 def test_incoherent_bracket_vs_slsqp():
