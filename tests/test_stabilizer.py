@@ -372,9 +372,13 @@ def _solver_digests(monkeypatch):
     verts = st.stabilizer_pure_states(3).projectors
     out["one_state"] = _solver_digest([st.polytope_distance_batch(rho[None], verts)
                                        for rho in random_qutrit_batch(5, seed=1718)])
-    solves = []
-    solve = st.solve_decided
-    monkeypatch.setattr(st, "solve_decided", lambda *args: solves.append(solve(*args)) or solves[-1])
+    solves, solve = [], st.solve_decided
+
+    def recorded(*args):
+        solves.append(solve(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(st, "solve_decided", recorded)
     channels.result1_audit(300, seed=1719)
     out["result1"] = _solver_digest(solves[0])
     return out
