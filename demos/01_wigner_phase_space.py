@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from magiclab import (dm_from_pure, line_sums, maximally_coherent_state,
-                      maximally_mixed, norrell_state, qutrit_closed_form,
-                      strange_state, striations, wigner)
+from magiclab import (dm_from_pure, maximally_coherent_state, maximally_mixed,
+                      norrell_state, qutrit_closed_form, strange_state,
+                      striation_marginals, striations, wigner)
 from magiclab.phasespace import shift_matrix
 
 np.set_printoptions(precision=4, suppress=True)
@@ -32,8 +32,8 @@ print("Line sums: every striation direction gives a true probability vector")
 print("=" * 64)
 rho = dm_from_pure(strange_state())
 w = wigner(rho)
-for s in striations(3):
-    print(f"{s.label:>8}: {line_sums(w, s)}")
+for s, sums in zip(striations(3), striation_marginals(w)):
+    print(f"{s.label:>8}: {sums}")
 print("(the vertical direction reproduces the diagonal of rho)")
 
 print()

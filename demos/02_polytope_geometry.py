@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from magiclab import (cw_coherence, distance_coherence, distance_magic,
-                      dm_from_pure, in_polytope, l1_coherence, mana,
+from magiclab import (cw_coherence, distance_magic, dm_from_pure, in_polytope,
+                      incoherent_distance, l1_coherence, mana,
                       maximally_coherent_state, maximally_mixed, norrell_state,
                       polytope_distance, stabilizer_pure_states, strange_state,
                       sum_negativity)
@@ -32,7 +32,7 @@ for name, rho in rows.items():
     res = polytope_distance(rho, verts)
     print(f"{name:<22} {str(in_polytope(rho, verts)):<12} {res.distance:>9.5f} "
           f"{sum_negativity(rho):>8.5f} {mana(rho):>8.5f} {l1_coherence(rho):>6.3f} "
-          f"{cw_coherence(rho):>8.5f} {distance_coherence(rho):>7.4f}")
+          f"{cw_coherence(rho):>8.5f} {incoherent_distance(rho):>7.4f}")
 
 print("""
 Notes: the strange state sits exactly 1/2 from the polytope, the Norrell
@@ -41,4 +41,4 @@ distance to the polytope (every diagonal state is a stabilizer state).""")
 
 rho = dm_from_pure(strange_state())
 print(f"distance_magic(strange)     = {distance_magic(rho):.6f}")
-print(f"distance_coherence(strange) = {distance_coherence(rho):.6f}")
+print(f"distance_coherence(strange) = {incoherent_distance(rho):.6f}")

@@ -11,9 +11,9 @@ from magiclab import (cw_coherence, dm_from_pure, estimate_cm,
                       stabilizer_pure_states, strange_state, tensor, wigner)
 from magiclab.channels import (classify, dephasing_channel, gso_audit, identity_channel,
                                unitary_channel)
-from magiclab.monotones import distance_coherence, distance_magic
+from magiclab.monotones import distance_magic
 from magiclab.phasespace import striation_marginals
-from magiclab.stabilizer import clifford_generators
+from magiclab.stabilizer import clifford_generators, incoherent_distance
 
 rng = np.random.default_rng(5)
 
@@ -41,7 +41,7 @@ print("\ncoherence as the budget for creating magic")
 rho = random_mixed(3, seed=rng)
 print(f"  distance_magic(rho)      = {distance_magic(rho):.6f}")
 print(f"  sup over incoherent maps = {estimate_cm(rho, 200, seed=rng):.6f} (certified lower bound over sampled maps)")
-print(f"  distance_coherence(rho)  = {distance_coherence(rho):.6f} (proven ceiling)")
+print(f"  distance_coherence(rho)  = {incoherent_distance(rho):.6f} (proven ceiling)")
 
 print("\ninstructive failure 1: the bare partial-trace step is NOT l_p-monotone for p > 1")
 sigma = np.diag([0.5, 0.5]).astype(complex)

@@ -15,7 +15,8 @@ monotone under the incoherent stabilizer protocol, l1 is a strong monotone
 under selective incoherent measurements, and only the identity fixes every
 stabilizer state. Clifford unitaries come from `stabilizer.clifford_group`.
 
-The classifier reads stabilizer preservation off the polytope's facets.
+`classify` gives all hierarchy flags of a channel at once; it reads
+stabilizer preservation off the polytope's facets.
 `estimate_cm` and the result1 audit solve distances only as far as their
 question needs: each state stops once its certified bracket decides the
 answer (result1 branches and bounds on the margin of each pair), and every
@@ -75,7 +76,7 @@ def identity_channel(d):
 
 def dephasing_channel(d):
     """K_i = |i><i|: kills all off-diagonal entries."""
-    return KrausChannel(kraus=tuple(np.diag(row).astype(complex) for row in np.eye(d)))
+    return KrausChannel(kraus=stabilizer.basis_projectors(d))
 
 
 def _images(kraus, rhos):
@@ -222,12 +223,6 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
                           genuinely_stabilizer=bool(_fixes_vertices(images, vertex_set.projectors, tol)))
 
 
-def is_genuinely_stabilizer(channel, vertex_set, tol=1e-7):
-    """True iff the channel fixes every pure stabilizer projector within tol:
-    the `genuinely_stabilizer` flag of :func:`classify`."""
-    return classify(channel, vertex_set, tol=tol).genuinely_stabilizer
-
-
 def estimate_cm(rho, n_trials, seed=None):
     """Certified lower bound on the supremum of polytope distance over
     incoherent images of rho: the largest dual lower bound over rho and its
@@ -291,7 +286,7 @@ def _incoherent_outcomes(n_trials, rng):
 
 def result1_audit(n_trials=10000, seed=0, tol=1e-8):
     """Magic after a random incoherent channel vs initial coherence:
-    distance_magic(channel(rho)) <= distance_coherence(rho) + tol, decided on
+    distance_magic(channel(rho)) <= incoherent_distance(rho) + tol, decided on
     the conservative side of both certified brackets (magic upper bound minus
     coherence lower bound).
 

@@ -29,15 +29,12 @@ def _build_config(args):
 
 def cmd_wigner(args):
     rho = _load_dm(args.state)
-    w = wigner(rho)
-    lines = [",".join(_fmt(x) for x in row) for row in w]
-    msn = max(0.0, monotones.sum_negativity_grid(w))
-    mana = monotones.mana_grid(w, args.mana_base)
-    lines.append(f"# sum_negativity={_fmt(msn)} mana={_fmt(mana)}")
+    lines = [",".join(_fmt(x) for x in row) for row in wigner(rho)]
+    lines.append(f"# sum_negativity={_fmt(monotones.sum_negativity(rho))} "
+                 f"mana={_fmt(monotones.mana(rho, args.mana_base))}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        experiments.write_csv(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

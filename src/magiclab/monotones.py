@@ -86,9 +86,6 @@ def distance_magic(rho):
     return float(stabilizer._free_distances(rho[None], magic=True)[0])
 
 
-distance_coherence = stabilizer.incoherent_distance
-
-
 def negativity(rho, dims):
     """Entanglement negativity (||rho^{T_B}||_1 - 1)/2, clamped at 0; zero on
     product states."""

@@ -12,6 +12,7 @@ the closed-form expressions implemented in :func:`qutrit_closed_form`; the
 
 Striations partition the d x d grid into d parallel lines each; line sums of
 the Wigner grid are measurement probabilities and therefore nonnegative.
+:func:`striation_marginals` gives every line sum of a grid or a stack at once.
 """
 
 from dataclasses import dataclass
@@ -159,21 +160,6 @@ def striations(d):
     return out
 
 
-def _gather_lines(w, points):
-    """Sum a grid stack (..., d, d) along lines given as (..., d, 2) index points."""
-    w = np.asarray(w, dtype=float)
-    d = points.shape[-2]
-    if w.shape[-2:] != (d, d):
-        raise ValueError(f"grid shape {w.shape} does not match striation of {d} lines")
-    return w[..., points[..., 0], points[..., 1]].sum(axis=-1)
-
-
-def line_sums(w, striation):
-    """Sum a Wigner grid (d, d), or a stack (..., d, d), along each line of
-    one striation; returns (..., d)."""
-    return _gather_lines(w, np.array(striation.lines))
-
-
 @lru_cache(maxsize=None)
 def _striation_points(d):
     """(d+1, d, d, 2) index points of every line, in the fixed striation order."""
@@ -182,5 +168,10 @@ def _striation_points(d):
 
 def striation_marginals(w):
     """All line sums of a grid (d, d) or a stack (..., d, d), as (..., d+1, d)
-    in the fixed striation order."""
-    return _gather_lines(w, _striation_points(np.shape(w)[-1]))
+    in the fixed striation order: row k holds the d line sums of
+    ``striations(d)[k]``."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim < 2 or w.shape[-2] != w.shape[-1]:
+        raise ValueError(f"grid shape {w.shape} is not a (..., d, d) stack")
+    points = _striation_points(w.shape[-1])
+    return w[..., points[..., 0], points[..., 1]].sum(axis=-1)

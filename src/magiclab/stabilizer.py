@@ -94,12 +94,12 @@ def clifford_generators(d):
     return [shift_matrix(d), clock_matrix(d), f, s]
 
 
-def _phase_key(u, decimals=8):
-    """Hashable canonical form of an array modulo global phase."""
+def _phase_key(u):
+    """Hashable canonical form of an array modulo global phase, to 8 decimals."""
     flat = u.reshape(-1)
     idx = np.argmax(np.abs(flat) > 1e-9)
     v = u * np.exp(-1j * np.angle(flat[idx]))
-    parts = np.round(np.stack([v.real, v.imag]), decimals) + 0.0  # +0.0 folds -0.0
+    parts = np.round(np.stack([v.real, v.imag]), 8) + 0.0  # +0.0 folds -0.0
     return parts.tobytes()
 
 

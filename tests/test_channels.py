@@ -31,18 +31,21 @@ def test_boundary_checks_name_the_violation(call, match):
 MIXED_VS_BASIS = (np.eye(3)[None] / 3, st.basis_projectors(3))
 TOLERANT_CALLS = {
     "classify": lambda **kw: ch.classify(ch.identity_channel(3), st.stabilizer_pure_states(3), **kw),
-    "is_genuinely_stabilizer": lambda **kw: ch.is_genuinely_stabilizer(
-        ch.identity_channel(3), st.stabilizer_pure_states(3), **kw),
     "result1_audit": lambda **kw: ch.result1_audit(20, 1, **kw),
     "solve_decided": lambda **kw: st.solve_decided([MIXED_VS_BASIS], **kw),
     "polytope_distance_batch": lambda **kw: st.polytope_distance_batch(*MIXED_VS_BASIS, **kw),
 }
 
 
-@pytest.mark.parametrize("name, kwargs", [(name, {"tol": tol}) for name in TOLERANT_CALLS
-                                          for tol in (np.nan, np.inf, -np.inf)]
-                         + [(name, {"max_iter": m}) for name in ("solve_decided", "polytope_distance_batch")
-                            for m in (0, -1)])
+TOLERANCE_CASES = ([(name, {"tol": tol}) for name in TOLERANT_CALLS for tol in (np.nan, np.inf, -np.inf)]
+                   + [(name, {"max_iter": m}) for name in ("solve_decided", "polytope_distance_batch")
+                      for m in (0, -1)])
+
+
+# case ids skip kwargs3-5, the removed is_genuinely_stabilizer rows, so every
+# other case keeps its id
+@pytest.mark.parametrize("name, kwargs", TOLERANCE_CASES,
+                         ids=[f"{name}-kwargs{i + 3 * (i >= 3)}" for i, (name, _) in enumerate(TOLERANCE_CASES)])
 def test_tolerances_and_iteration_caps_are_checked(name, kwargs):
     # a nan tol makes every comparison False: the identity would read as
     # neither preserving nor genuinely stabilizer, result1 as failed with no
@@ -250,11 +253,11 @@ def test_incoherent_cliffords_permute_vertices_and_facets(d, count):
 
 
 def test_is_genuinely_stabilizer(qubit_vertices):
-    assert ch.is_genuinely_stabilizer(ch.identity_channel(2), qubit_vertices)
-    assert not ch.is_genuinely_stabilizer(ch.dephasing_channel(2), qubit_vertices)
-    # the flag is classify's, with its dimension check: no matmul error from numpy
+    assert ch.classify(ch.identity_channel(2), qubit_vertices).genuinely_stabilizer
+    assert not ch.classify(ch.dephasing_channel(2), qubit_vertices).genuinely_stabilizer
+    # classify checks dimensions: no matmul error from numpy
     with pytest.raises(ValueError, match="maps 2 -> 2, vertices have dimension 3"):
-        ch.is_genuinely_stabilizer(ch.identity_channel(2), st.stabilizer_pure_states(3))
+        ch.classify(ch.identity_channel(2), st.stabilizer_pure_states(3))
 
 
 def test_classify_flags(qubit_vertices):

@@ -45,6 +45,17 @@ def test_wigner_command_mana_base(strange_file):
     assert abs(base2 - nat / np.log(2)) < 1e-12
 
 
+def test_wigner_out_creates_missing_directories(strange_file, tmp_path, capsys):
+    # --out writes what stdout shows, into missing parent directories as the
+    # experiment commands do
+    assert cli.main(["wigner", "--state", strange_file]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "missing" / "dir" / "w.txt"
+    assert cli.main(["wigner", "--state", strange_file, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
 def test_monotones_command(strange_file):
     res = run_cli("monotones", "--state", strange_file)
     assert res.returncode == 0

@@ -196,7 +196,7 @@ def test_distance_monotones_trivial_cases(qutrit_vertices):
     assert mo.distance_magic(vertex) <= 1e-9
     diag = np.diag([0.1, 0.6, 0.3]).astype(complex)
     assert mo.distance_magic(diag) <= 1e-9
-    assert mo.distance_coherence(diag) <= 1e-9
+    assert st.incoherent_distance(diag) <= 1e-9
 
 
 def test_distance_magic_below_coherence(qutrit_vertices):
@@ -233,7 +233,7 @@ def test_states_inside_the_free_sets_are_at_distance_exactly_zero(qutrit_vertice
             values = {r.name: r.value for r in mo.all_monotones(rho)}
             assert mo.distance_magic(rho) == values["distance_magic"] == 0.0
             if rho is diagonal:
-                assert mo.distance_coherence(rho) == values["distance_coherence"] == 0.0
+                assert st.incoherent_distance(rho) == values["distance_coherence"] == 0.0
         assert st.incoherent_distance(np.diag(rng.dirichlet(np.ones(5))).astype(complex)) == 0.0
 
 
@@ -252,7 +252,7 @@ def test_distances_outside_the_free_sets_are_the_solvers(qutrit_vertices, named_
         assert mo.distance_magic(rho) == values["distance_magic"] == solved
         if np.any(rho[~np.eye(3, dtype=bool)]):
             solved = st.polytope_distance_batch(rho[None], basis)[0][0, 1]
-            assert mo.distance_coherence(rho) == values["distance_coherence"] == solved
+            assert st.incoherent_distance(rho) == values["distance_coherence"] == solved
 
 
 def test_negativity_product_zero():
@@ -330,7 +330,7 @@ def test_estimate_cm_bounds():
         rho = linalg.random_mixed(3, seed=rng)
         est = channels.estimate_cm(rho, 30, seed=rng)
         assert est >= mo.distance_magic(rho) - 1e-9
-        assert est <= mo.distance_coherence(rho) + 1e-9
+        assert est <= st.incoherent_distance(rho) + 1e-9
 
 
 def test_estimate_cm_matches_full_solve():
@@ -369,7 +369,7 @@ def test_all_monotones_match_the_single_functions(named_states):
             "sum_negativity": mo.sum_negativity(rho), "mana": mo.mana(rho),
             "l1_coherence": mo.l1_coherence(rho), "l2_coherence": mo.lp_coherence(rho, 2),
             "cw_coherence": mo.cw_coherence(rho), "distance_magic": mo.distance_magic(rho),
-            "distance_coherence": mo.distance_coherence(rho)}
+            "distance_coherence": st.incoherent_distance(rho)}
     rho = linalg.random_mixed(6, seed=56)
     values = {r.name: r.value for r in mo.all_monotones(rho, dims=(3, 2))}
     assert values["negativity"] == mo.negativity(rho, (3, 2))

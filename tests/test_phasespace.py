@@ -102,10 +102,8 @@ def test_wigner_normalization_and_marginals():
     rhos = random_qutrit_batch(1000, seed=21)
     grids = ps.wigner_batch(rhos, 3)
     assert np.max(np.abs(grids.sum(axis=(1, 2)) - 1)) < 1e-10
-    stris = ps.striations(3)
     for w in grids[:200]:
-        for s in stris:
-            sums = ps.line_sums(w, s)
+        for sums in ps.striation_marginals(w):
             assert sums.min() >= -1e-10
             assert abs(sums.sum() - 1) < 1e-10
 
@@ -124,35 +122,34 @@ def test_wigner_grid_sums_to_one_with_nonnegative_line_sums(d, data):
 
 def test_line_sums_vertical_is_diagonal():
     rng = np.random.default_rng(22)
-    vertical = ps.striations(3)[0]
     rhos = np.stack([linalg.random_mixed(3, seed=rng) for _ in range(20)])
     for rho in rhos:
-        sums = ps.line_sums(ps.wigner(rho), vertical)
+        sums = ps.striation_marginals(ps.wigner(rho))[0]  # row 0 is the vertical striation
         assert np.allclose(sums, np.diag(rho).real, atol=1e-12)
-    stacked = ps.line_sums(ps.wigner_batch(rhos, 3).reshape(4, 5, 3, 3), vertical)
+    stacked = ps.striation_marginals(ps.wigner_batch(rhos, 3).reshape(4, 5, 3, 3))[..., 0, :]
     assert stacked.shape == (4, 5, 3)
     assert np.allclose(stacked.reshape(20, 3), np.diagonal(rhos, axis1=1, axis2=2).real,
                        atol=1e-12)
 
 
 def test_line_sums_named_states(named_states):
-    vertical = ps.striations(3)[0]
     grids = np.stack([ps.wigner(named_states["mixed"]), ps.wigner(named_states["strange"])])
-    for s in ps.striations(3):
-        assert np.allclose(ps.line_sums(grids[0], s), 1 / 3, atol=1e-12)
-        assert np.allclose(ps.line_sums(grids, s)[0], 1 / 3, atol=1e-12)
-    sums = ps.line_sums(grids[1], vertical)
+    for k in range(len(ps.striations(3))):
+        assert np.allclose(ps.striation_marginals(grids[0])[k], 1 / 3, atol=1e-12)
+        assert np.allclose(ps.striation_marginals(grids)[0, k], 1 / 3, atol=1e-12)
+    sums = ps.striation_marginals(grids[1])[0]
     assert np.allclose(sums, [0.0, 0.5, 0.5], atol=1e-12)
-    assert np.allclose(ps.line_sums(grids, vertical)[1], [0.0, 0.5, 0.5], atol=1e-12)
+    assert np.allclose(ps.striation_marginals(grids)[1, 0], [0.0, 0.5, 0.5], atol=1e-12)
 
 
 def test_line_sums_rejects_mismatched_striation():
+    # no grid shape other than (..., d, d) with prime d has striations
     with pytest.raises(ValueError):
-        ps.line_sums(np.full((3, 3), 1 / 9), ps.striations(5)[0])
+        ps.striation_marginals(np.full(9, 1 / 9))
     with pytest.raises(ValueError):
-        ps.line_sums(np.full((2, 3, 3), 1 / 9), ps.striations(5)[0])
+        ps.striation_marginals(np.full((2, 3), 1 / 6))
     with pytest.raises(ValueError):
-        ps.line_sums(np.full(9, 1 / 9), ps.striations(3)[0])
+        ps.striation_marginals(np.full((4, 4), 1 / 16))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
