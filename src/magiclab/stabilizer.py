@@ -208,14 +208,20 @@ def _ranks(m):
 
 
 def _project_simplex_batch(v):
-    """Row-wise Euclidean projection onto the probability simplex."""
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = u.cumsum(axis=1)
+    """Row-wise Euclidean projection onto the probability simplex, max(v - theta, 0).
+
+    With u the row sorted in decreasing order and f_k = (u_1 + ... + u_k - 1)/k,
+    the shift theta is f at the last k with u_k > f_k (Held, Wolfe & Crowder,
+    Math. Prog. 6, 62, 1974), which is also max_k f_k (Condat, Math. Prog. 158,
+    575, 2016): (k - 1)(f_k - f_{k-1}) = u_k - f_k, and u_k > f_k holds on a
+    prefix, so f rises up to that k and does not rise after it. In floating
+    point the two forms agree bit for bit except at exact ties u_{k+1} = f_k,
+    where rounding can lift f_{k+1} above f_k by one ulp (up to 2.2e-16 here).
+    """
+    css = np.sort(v, axis=1)[:, ::-1].cumsum(axis=1)
     css -= 1.0
-    shifts = css / _ranks(v.shape[1])
-    # u > shifts holds at index 0, and the last index where it holds gives the shift
-    last = (u > shifts)[:, ::-1].argmax(axis=1)
-    return np.maximum(v - shifts[np.arange(len(v)), v.shape[1] - 1 - last, None], 0.0)
+    css /= _ranks(v.shape[1])
+    return np.maximum(v - css.max(axis=1, keepdims=True), 0.0)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,11 @@ def loads_state(text):
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].replace(" ", "").startswith("dim="):
         raise ValueError("state file must start with a 'dim=<d>' line")
-    d = int(lines[0].split("=", 1)[1])
+    token = lines[0].split("=", 1)[1].strip()
+    try:
+        d = int(token)
+    except ValueError:
+        raise ValueError(f"dim line needs an integer, got {token!r}") from None
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     body = lines[1:]
@@ -63,16 +67,18 @@ def load_state(path):
 
 
 def dumps_state(state):
-    """Serialize a pure-state vector or density matrix to state-file text."""
+    """Serialize a pure-state vector or density matrix to state-file text.
+    A state that `loads_state` would reject (shape other than (d,) or (d, d),
+    d < 2, a non-finite entry) raises ValueError."""
     state = np.asarray(state, dtype=complex)
-    d = state.shape[0]
-    lines = [f"dim={d}"]
-    if state.ndim == 1:
-        lines.append(",".join(_fmt_complex(z) for z in state))
-    elif state.ndim == 2 and state.shape == (d, d):
-        lines.extend(",".join(_fmt_complex(z) for z in row) for row in state)
-    else:
+    if state.ndim not in (1, 2) or state.shape != state.shape[:1] * state.ndim:
         raise ValueError(f"expected a vector or square matrix, got shape {state.shape}")
+    if len(state) < 2:
+        raise ValueError(f"dimension must be >= 2, got {len(state)}")
+    if not np.isfinite(state).all():
+        raise ValueError("non-finite entry in state")
+    lines = [f"dim={len(state)}"]
+    lines.extend(",".join(_fmt_complex(z) for z in row) for row in np.atleast_2d(state))
     return "\n".join(lines) + "\n"
 
 

@@ -67,12 +67,13 @@ def pure_trace_distance(ket_a, ket_b):
 
 
 def project_simplex(v):
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    tau = css[cond][-1] / idx[cond][-1]
-    return np.maximum(v - tau, 0.0)
+    """Row-wise Euclidean projection of an (n, m) array onto the probability
+    simplex, by the sort and the last index k with u_k > (u_1 + ... + u_k - 1)/k
+    (Held, Wolfe & Crowder, 1974): the oracle of the library's max form."""
+    u = np.sort(v, axis=1)[:, ::-1]
+    shifts = (u.cumsum(axis=1) - 1.0) / np.arange(1, v.shape[1] + 1)
+    last = v.shape[1] - 1 - (u > shifts)[:, ::-1].argmax(axis=1)
+    return np.maximum(v - shifts[np.arange(len(v)), last, None], 0.0)
 
 
 def slsqp_polytope_oracle(rho, vertices, starts=12, seed=11):
@@ -95,7 +96,7 @@ def slsqp_polytope_oracle(rho, vertices, starts=12, seed=11):
                        bounds=[(0, 1)] * m,
                        constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1}],
                        options={"maxiter": 400, "ftol": 1e-14})
-        best = min(best, f(project_simplex(res.x)))
+        best = min(best, f(project_simplex(res.x[None])[0]))
     return best
 
 

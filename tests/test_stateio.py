@@ -57,10 +57,28 @@ def test_non_finite_entries_rejected(entry):
     ("dim=3\n1,,0\n", "empty numeric field"),
     ("dim=1\n1\n", "dimension must be >= 2, got 1"),
     ("dim=2\n1,0\n0\n", "row needs 2 entries, got 1"),
-], ids=["empty_field", "dim_1", "short_row"])
+    ("dim=two\n1,0\n", "dim line needs an integer, got 'two'"),
+    ("dim=2.0\n1,0\n", "dim line needs an integer, got '2.0'"),
+    ("dim=\n1,0\n", "dim line needs an integer, got ''"),
+], ids=["empty_field", "dim_1", "short_row", "dim_word", "dim_float", "dim_empty"])
 def test_malformed_files_name_the_fault(text, match):
     with pytest.raises(ValueError, match=match):
         stateio.loads_state(text)
+
+
+@pytest.mark.parametrize("state, match", [
+    ([np.nan, 1], "non-finite"),
+    (np.diag([np.inf, 0.0]), "non-finite"),
+    ([1.0], "dimension must be >= 2, got 1"),
+    ([[1.0]], "dimension must be >= 2, got 1"),
+    ([], "dimension must be >= 2, got 0"),
+    (1.0, r"vector or square matrix, got shape \(\)"),
+    (np.zeros((2, 3)), r"vector or square matrix, got shape \(2, 3\)"),
+    (np.zeros((2, 2, 2)), r"vector or square matrix, got shape \(2, 2, 2\)"),
+], ids=["nan", "inf", "d1_vector", "d1_matrix", "empty", "scalar", "non_square", "stack"])
+def test_dumps_rejects_what_loads_would(state, match):
+    with pytest.raises(ValueError, match=match):
+        stateio.dumps_state(state)
 
 
 def test_dumps_full_precision():
@@ -80,3 +98,20 @@ def test_dumps_loads_round_trip_is_exact(d, matrix, data):
     assert back.shape == state.shape
     assert np.array_equal(back, state)
     assert back.tobytes() == state.tobytes()    # signed zeros survive too
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=hst.lists(hst.integers(min_value=0, max_value=4), max_size=3), data=hst.data())
+def test_whatever_dumps_accepts_loads_returns_exactly(shape, data):
+    n = int(np.prod(shape))
+    entries = hst.lists(hst.floats(), min_size=n, max_size=n)   # nan and inf included
+    state = np.empty(n, dtype=complex)
+    state.real, state.imag = data.draw(entries), data.draw(entries)
+    state = state.reshape(shape)
+    try:
+        text = stateio.dumps_state(state)
+    except ValueError:
+        return
+    back = stateio.loads_state(text)
+    assert back.shape == state.shape
+    assert back.tobytes() == state.tobytes()
