@@ -216,7 +216,8 @@ def _project_simplex_batch(v):
     575, 2016): (k - 1)(f_k - f_{k-1}) = u_k - f_k, and u_k > f_k holds on a
     prefix, so f rises up to that k and does not rise after it. In floating
     point the two forms agree bit for bit except at exact ties u_{k+1} = f_k,
-    where rounding can lift f_{k+1} above f_k by one ulp (up to 2.2e-16 here).
+    where rounding can lift f_{k+1} above f_k, and the shifts then differ by
+    up to 2.2e-16.
     """
     css = np.sort(v, axis=1)[:, ::-1].cumsum(axis=1)
     css -= 1.0

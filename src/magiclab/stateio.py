@@ -71,7 +71,7 @@ def dumps_state(state):
     A state that `loads_state` would reject (shape other than (d,) or (d, d),
     d < 2, a non-finite entry) raises ValueError."""
     state = np.asarray(state, dtype=complex)
-    if state.ndim not in (1, 2) or state.shape != state.shape[:1] * state.ndim:
+    if state.ndim not in (1, 2) or state.shape != (state.shape[0],) * state.ndim:
         raise ValueError(f"expected a vector or square matrix, got shape {state.shape}")
     if len(state) < 2:
         raise ValueError(f"dimension must be >= 2, got {len(state)}")
