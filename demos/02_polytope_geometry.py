@@ -30,7 +30,7 @@ rows = {
 }
 for name, rho in rows.items():
     res = polytope_distance(rho, verts)
-    print(f"{name:<22} {str(in_polytope(rho, verts)):<12} {res.distance:>9.5f} "
+    print(f"{name:<22} {str(in_polytope(rho)):<12} {res.distance:>9.5f} "
           f"{sum_negativity(rho):>8.5f} {mana(rho):>8.5f} {l1_coherence(rho):>6.3f} "
           f"{cw_coherence(rho):>8.5f} {incoherent_distance(rho):>7.4f}")
 

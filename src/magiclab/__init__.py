@@ -2,8 +2,8 @@
 
 from .linalg import (basis_ket, dm_from_pure, maximally_coherent_state,
                      maximally_mixed, norrell_state, partial_trace,
-                     partial_transpose, random_mixed, random_pure,
-                     strange_state, tensor)
+                     partial_transpose, random_mixed, strange_state,
+                     tensor)
 from .phasespace import (displacement, phase_point_ops, qutrit_closed_form,
                          striation_marginals, striations, wigner)
 from .stabilizer import (PolytopeResult, StabilizerVertexSet,

@@ -22,9 +22,7 @@ def _load_dm(path):
 
 def _build_config(args):
     overrides = {key: getattr(args, key, None) for key in ("seed", "samples", "outdir", "tolerance")}
-    if args.config:
-        return ExperimentConfig.from_file(args.config, **overrides)
-    return ExperimentConfig.from_strings({}, **overrides)
+    return ExperimentConfig.from_file(args.config, **overrides)
 
 
 def cmd_wigner(args):

@@ -81,9 +81,12 @@ class ExperimentConfig:
         return self.p_start + self.p_step * np.arange(n + 1)
 
     @classmethod
-    def from_file(cls, path, **overrides):
-        values = {}
-        with open(path) as fh:
+    def from_file(cls, path=None, **overrides):
+        """Config from a key=value file (none when `path` is None), then the
+        overrides that are not None."""
+        kwargs = {}
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        with open(os.devnull if path is None else path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -91,20 +94,13 @@ class ExperimentConfig:
                 key, sep, raw = line.partition("=")
                 if not sep:
                     raise ValueError(f"{path} line {lineno}: expected key=value, got {line!r}")
-                values[key.strip()] = raw.strip()
-        return cls.from_strings(values, **overrides)
-
-    @classmethod
-    def from_strings(cls, values, **overrides):
-        kwargs = {}
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
-        for key, raw in values.items():
-            if key not in fields:
-                raise ValueError(f"unknown config key: {key}")
-            try:
-                kwargs[key] = fields[key](raw)
-            except ValueError:
-                raise ValueError(f"config key {key} needs {fields[key].__name__}, got {raw!r}") from None
+                key, raw = key.strip(), raw.strip()
+                if key not in fields:
+                    raise ValueError(f"unknown config key: {key}")
+                try:
+                    kwargs[key] = fields[key](raw)
+                except ValueError:
+                    raise ValueError(f"config key {key} needs {fields[key].__name__}, got {raw!r}") from None
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**kwargs)
 
@@ -154,8 +150,9 @@ SWEEP_HEADER = ("p", *(f"{col}_{state}_{noise}" for col in ("msn", "ref")
 
 def _detect_kink(p, measured, branch1, branch2):
     """Grid point where the better-fitting branch switches: the last p at
-    which branch1's residual does not exceed branch2's."""
-    better1 = np.abs(measured - branch1) <= np.abs(measured - branch2)
+    which branch1's residual does not exceed branch2's, a tie within 1e-12
+    (a kink on a grid point) going to branch1."""
+    better1 = np.abs(measured - branch1) <= np.abs(measured - branch2) + 1e-12
     if not better1.any() or better1.all():
         return None
     return float(p[np.max(np.nonzero(better1)[0])])

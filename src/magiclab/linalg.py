@@ -51,6 +51,8 @@ def validate_density_matrix(rho):
         raise ValueError("density matrix has non-finite entries")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if rho.size == 0:
+        raise ValueError(f"density matrix is empty, got shape {rho.shape}")
     herm_err = np.max(np.abs(rho - rho.conj().T))
     if herm_err > HERM_ATOL:
         raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm_err:.3e}")
@@ -106,15 +108,6 @@ def maximally_coherent_state(d=3):
 # ---------------------------------------------------------------------------
 # random sampling
 # ---------------------------------------------------------------------------
-
-def random_pure(d, seed=None):
-    """Haar-random pure state: i.i.d. complex Gaussian vector, normalized."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    rng = rng_from(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
 
 def random_mixed(d, rank=None, seed=None):
     """Random density matrix rho = G G^dag / tr(G G^dag), G a d x rank Ginibre matrix.

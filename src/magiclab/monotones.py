@@ -11,7 +11,7 @@ sum negativity, mana and C_w), shared by the scalar forms, the experiments
 and the channel audits.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +22,9 @@ from .phasespace import _is_prime, striation_marginals, wigner, wigner_batch
 
 @dataclass(frozen=True)
 class MonotoneReport:
-    """A named monotone value with optional metadata (C_w's minimizing lambda)."""
+    """A named monotone value."""
     name: str
     value: float
-    metadata: dict = field(default_factory=dict)
 
 
 def sum_negativity(rho):
@@ -151,8 +150,7 @@ def all_monotones(rho, dims=None):
     out.append(MonotoneReport("l1_coherence", float(l1_coherence_batch(rho))))
     out.append(MonotoneReport("l2_coherence", float(lp_coherence_batch(rho, 2))))
     if wigner_ok:
-        value, lam = cw_coherence_grid(w)
-        out.append(MonotoneReport("cw_coherence", float(value), {"lambda": float(lam)}))
+        out.append(MonotoneReport("cw_coherence", float(cw_coherence_grid(w)[0])))
     if d == 3:
         for name, magic in (("distance_magic", True), ("distance_coherence", False)):
             out.append(MonotoneReport(name, float(stabilizer._free_distances(rho[None], magic)[0])))

@@ -418,12 +418,10 @@ def polytope_distance(rho, vertex_set):
                           weights=w[0], iterations=int(iters[0]), certified=bool(certified[0]))
 
 
-def in_polytope(rho, vertex_set, tol=1e-7):
-    """Whether rho lies in the hull of a `StabilizerVertexSet`, decided exactly
-    from the facets by :func:`in_polytope_batch` with the facet slack `tol`."""
+def in_polytope(rho, *, tol=1e-7):
+    """Whether rho lies in the stabilizer polytope of its dimension, decided
+    exactly from the facets by :func:`in_polytope_batch` with the facet slack `tol`."""
     rho = validate_density_matrix(rho)
-    if rho.shape[0] != vertex_set.dim:
-        raise ValueError(f"dimension mismatch: state {rho.shape[0]}, vertices {vertex_set.dim}")
     if not np.isfinite(tol):
         raise ValueError(f"in_polytope needs a finite tol, got {tol}")
     return bool(in_polytope_batch(rho, tol))

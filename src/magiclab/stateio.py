@@ -45,20 +45,15 @@ def loads_state(text):
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     body = lines[1:]
-    if len(body) == 1:
-        row = [_parse_complex(tok) for tok in body[0].split(",")]
-        if len(row) != d:
-            raise ValueError(f"pure state needs {d} amplitudes, got {len(row)}")
-        return np.array(row, dtype=complex)
-    if len(body) == d:
-        mat = []
-        for ln in body:
-            row = [_parse_complex(tok) for tok in ln.split(",")]
-            if len(row) != d:
-                raise ValueError(f"density matrix row needs {d} entries, got {len(row)}")
-            mat.append(row)
-        return np.array(mat, dtype=complex)
-    raise ValueError(f"expected 1 or {d} data lines, got {len(body)}")
+    if len(body) not in (1, d):
+        raise ValueError(f"expected 1 or {d} data lines, got {len(body)}")
+    rows = []
+    for ln in body:
+        rows.append([_parse_complex(tok) for tok in ln.split(",")])
+        if len(rows[-1]) != d:
+            raise ValueError(f"row needs {d} entries, got {len(rows[-1])}")
+    state = np.array(rows, dtype=complex)
+    return state[0] if len(body) == 1 else state
 
 
 def load_state(path):

@@ -42,6 +42,15 @@ def trace_distance(a, b):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
+def random_pure(d, seed=None):
+    """Haar-random pure state: i.i.d. complex Gaussian vector, normalized."""
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    rng = linalg.rng_from(seed)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
 def random_qutrit_batch(n, seed):
     """Half Haar-pure, half HS-mixed qutrit states, stacked (n, 3, 3)."""
     rng = np.random.default_rng(seed)
@@ -50,7 +59,7 @@ def random_qutrit_batch(n, seed):
         if i % 2:
             out.append(linalg.random_mixed(3, seed=rng))
         else:
-            out.append(linalg.dm_from_pure(linalg.random_pure(3, rng)))
+            out.append(linalg.dm_from_pure(random_pure(3, rng)))
     return np.stack(out)
 
 

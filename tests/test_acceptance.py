@@ -12,7 +12,7 @@ import numpy as np
 
 from magiclab import channels as ch, experiments as ex, linalg, monotones as mo
 from magiclab import phasespace as ps
-from conftest import cw_grid_oracle, random_qutrit_batch, trace_distance
+from conftest import cw_grid_oracle, random_pure, random_qutrit_batch, trace_distance
 
 
 def report(number, name, ok, detail):
@@ -27,7 +27,7 @@ def test_acceptance_1_closed_form_equivalence():
     worst = 0.0
     for i in range(1000):
         if i < 500:
-            rho = linalg.dm_from_pure(linalg.random_pure(3, rng))
+            rho = linalg.dm_from_pure(random_pure(3, rng))
         else:
             rho = linalg.random_mixed(3, seed=rng)
         worst = max(worst, float(np.max(np.abs(ps.wigner(rho) - ps.qutrit_closed_form(rho)))))

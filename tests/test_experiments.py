@@ -65,6 +65,7 @@ def test_config_from_file(tmp_path):
     path.write_text("nonsense=1\n")
     with pytest.raises(ValueError):
         ex.ExperimentConfig.from_file(path)
+    assert ex.ExperimentConfig.from_file(None, seed=3, samples=None) == ex.ExperimentConfig(seed=3)
 
 
 def test_sweep_endpoints_and_kinks():
@@ -81,6 +82,16 @@ def test_sweep_endpoints_and_kinks():
     assert abs(rows[1.0][4] - 4 / 9) < 1e-10
     assert data.max_abs_residual < 1e-9
     assert data.kinks == {"strange_white": 0.75, "norrell_white": 0.6, "strange_coherent": 0.6}
+
+
+@pytest.mark.parametrize("p_step", [0.025, 0.05, 0.1])
+def test_sweep_finds_kinks_on_grid_points(p_step):
+    # the kinks at 3/5 are grid points, where the two branches tie up to rounding
+    cfg = small_cfg(p_step=p_step)
+    data = ex.noise_sweep(cfg)
+    assert data.kinks["norrell_white"] == pytest.approx(0.6, abs=1e-12)
+    assert data.kinks["strange_coherent"] == pytest.approx(0.6, abs=1e-12)
+    assert all(passed for _, passed, _ in data.checks(cfg))
 
 
 def test_sweep_matches_formulas_on_grid():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from magiclab import channels, linalg
-from conftest import is_density_matrix, trace_distance
+from magiclab import channels, linalg, monotones as mo
+from conftest import is_density_matrix, random_pure, trace_distance
 
 
 def test_dm_from_pure_basis():
@@ -46,6 +46,8 @@ def test_validators_reject_non_finite():
 
 @pytest.mark.parametrize("call, match", [
     (lambda: linalg.validate_density_matrix(np.ones((2, 3)) / 2), "must be square"),
+    (lambda: linalg.validate_density_matrix(np.zeros((0, 0))), r"empty, got shape \(0, 0\)"),
+    (lambda: mo.l1_coherence(np.zeros((0, 0))), r"empty, got shape \(0, 0\)"),
     (lambda: linalg.validate_density_matrix([[0.5, 0.1], [0.2, 0.5]]), "not Hermitian"),
     (lambda: linalg.validate_density_matrix(np.eye(2)), "trace is not 1"),
     (lambda: linalg.validate_density_matrix(np.diag([1.5, -0.5])), "not positive semidefinite"),
@@ -53,28 +55,28 @@ def test_validators_reject_non_finite():
     (lambda: linalg.basis_ket(3, 3), "index 3 out of range for dimension 3"),
     (lambda: linalg.partial_trace(np.eye(3) / 3, (3,), 0), "at least two subsystem dimensions"),
     (lambda: linalg.partial_transpose(np.eye(6) / 6, (3, 2), 2), "subsystem index 2 out of range"),
-], ids=["non_square", "non_hermitian", "trace", "non_psd", "short_vector", "basis_index",
-        "one_dim", "transpose_index"])
+], ids=["non_square", "empty", "empty_l1", "non_hermitian", "trace", "non_psd", "short_vector",
+        "basis_index", "one_dim", "transpose_index"])
 def test_boundary_checks_name_the_violation(call, match):
     with pytest.raises(ValueError, match=match):
         call()
 
 
 def test_random_pure_deterministic():
-    a = linalg.random_pure(3, seed=123)
-    b = linalg.random_pure(3, seed=123)
+    a = random_pure(3, seed=123)
+    b = random_pure(3, seed=123)
     assert np.array_equal(a, b)
 
 
 def test_random_pure_normalized():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        assert abs(np.linalg.norm(linalg.random_pure(3, rng)) - 1) < 1e-12
+        assert abs(np.linalg.norm(random_pure(3, rng)) - 1) < 1e-12
 
 
 def test_random_pure_rejects_small_dim():
     with pytest.raises(ValueError):
-        linalg.random_pure(1, seed=0)
+        random_pure(1, seed=0)
 
 
 def test_random_pure_haar_moment():
@@ -85,7 +87,7 @@ def test_random_pure_haar_moment():
     acc = np.zeros((3, 3), dtype=complex)
     sq = np.zeros((3, 3))
     for _ in range(n):
-        dm = linalg.dm_from_pure(linalg.random_pure(3, rng))
+        dm = linalg.dm_from_pure(random_pure(3, rng))
         acc += dm
         sq += np.abs(dm) ** 2
     mean = acc / n
@@ -262,7 +264,7 @@ def test_operation_outputs_are_valid_density_matrices():
     for _ in range(20):
         rho = linalg.random_mixed(3, seed=rng)
         linalg.validate_density_matrix(rho)
-        psi = linalg.random_pure(6, rng)
+        psi = random_pure(6, rng)
         joint = linalg.dm_from_pure(psi)
         linalg.validate_density_matrix(joint)
         linalg.validate_density_matrix(linalg.partial_trace(joint, (3, 2), 0))

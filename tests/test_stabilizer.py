@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from magiclab import channels, linalg, phasespace as ps, stabilizer as st
-from conftest import (project_simplex, pure_trace_distance, random_qutrit_batch, slsqp_polytope_oracle,
-                      trace_distance)
+from conftest import (project_simplex, pure_trace_distance, random_pure, random_qutrit_batch,
+                      slsqp_polytope_oracle, trace_distance)
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -478,7 +478,7 @@ def test_qubit_incoherent_distance_bracket():
     # the qubit distance to the diagonal states is exactly |rho_01|
     rng = np.random.default_rng(39)
     rhos = np.stack([linalg.random_mixed(2, seed=rng) for _ in range(40)]
-                    + [linalg.dm_from_pure(linalg.random_pure(2, rng)) for _ in range(40)])
+                    + [linalg.dm_from_pure(random_pure(2, rng)) for _ in range(40)])
     bounds, _, _, certified = st.polytope_distance_batch(rhos, st.basis_projectors(2))
     exact = np.abs(rhos[:, 0, 1])
     assert certified.all()
@@ -491,7 +491,7 @@ def test_qubit_incoherent_distance_is_the_off_diagonal_modulus():
     # the closed form: equal to |rho_01| of the validated matrix, bit for bit
     rng = np.random.default_rng(41)
     qubits = ([linalg.random_mixed(2, seed=rng) for _ in range(40)]
-              + [linalg.dm_from_pure(linalg.random_pure(2, rng)) for _ in range(40)])
+              + [linalg.dm_from_pure(random_pure(2, rng)) for _ in range(40)])
     for q in qubits:
         assert st.incoherent_distance(q) == abs(linalg.validate_density_matrix(q)[0, 1])
 
@@ -547,12 +547,12 @@ def test_polytope_distance_convexity(qutrit_vertices):
 
 def test_in_polytope(qutrit_vertices, named_states):
     for v in qutrit_vertices.projectors:
-        assert st.in_polytope(v, qutrit_vertices) is True
-    assert st.in_polytope(named_states["strange"], qutrit_vertices) is False
+        assert st.in_polytope(v) is True
+    assert st.in_polytope(named_states["strange"]) is False
     rng = np.random.default_rng(33)
     for _ in range(10):
         diag = np.diag(rng.dirichlet(np.ones(3))).astype(complex)
-        assert st.in_polytope(diag, qutrit_vertices) is True
+        assert st.in_polytope(diag) is True
 
 
 def _facet_min(rho):
@@ -566,15 +566,17 @@ def test_in_polytope_tol_is_a_facet_slack(qutrit_vertices):
     assert len(exterior) >= 6
     for rho in exterior:
         slack = 1.0 - _facet_min(rho)
-        assert st.in_polytope(rho, qutrit_vertices, tol=slack + 1e-9) is True
-        assert st.in_polytope(rho, qutrit_vertices, tol=slack - 1e-9) is False
+        assert st.in_polytope(rho, tol=slack + 1e-9) is True
+        assert st.in_polytope(rho, tol=slack - 1e-9) is False
         # a facet slack s puts rho at trace distance >= s / sqrt(5)
         assert st.polytope_distance(rho, qutrit_vertices).lower >= slack / np.sqrt(5) - 1e-8
     for tol in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite tol"):
-            st.in_polytope(rho, qutrit_vertices, tol=tol)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        st.in_polytope(rho, st.stabilizer_pure_states(2))
+            st.in_polytope(rho, tol=tol)
+    with pytest.raises(ValueError, match=r"d in \{2, 3\}, got 4"):
+        st.in_polytope(np.eye(4) / 4)
+    with pytest.raises(TypeError):
+        st.in_polytope(rho, qutrit_vertices)
 
 
 def _lp_member(rho, verts):
@@ -597,14 +599,14 @@ def test_membership_agrees_with_lp_oracle(qutrit_vertices):
         wts = rng.dirichlet(np.ones(m))
         inside = np.einsum("m,mij->ij", wts, verts)
         assert _lp_member(inside, verts)
-        assert st.in_polytope(inside, qutrit_vertices) is True
+        assert st.in_polytope(inside) is True
         # a member is at distance 0, so no lower bound may certify it outside
         assert st.polytope_distance(inside, qutrit_vertices).lower <= 1e-12
         assert _facet_min(inside) >= 1.0 - 1e-12
     strange = linalg.dm_from_pure(linalg.strange_state())
     assert not _lp_member(strange, verts)
     assert abs(_facet_min(strange)) <= 1e-12  # the Wigner facet at the origin: 3 W(0, 0) + 1 = 0
-    assert st.in_polytope(strange, qutrit_vertices) is False
+    assert st.in_polytope(strange) is False
     # and the dual bound alone proves the LP's infeasibility verdict
     assert st.polytope_distance(strange, qutrit_vertices).lower > 0.5 - 1e-9
     # the sweep's strange/white line leaves the polytope through the Wigner
@@ -612,7 +614,7 @@ def test_membership_agrees_with_lp_oracle(qutrit_vertices):
     for p, member in ((0.75 - 1e-3, False), (0.75 + 1e-3, True)):
         rho = (1 - p) * strange + p * linalg.maximally_mixed(3)
         assert _lp_member(rho, verts) is member
-        assert st.in_polytope(rho, qutrit_vertices) is member
+        assert st.in_polytope(rho) is member
     # seeded Ginibre and Haar states, and their mixtures with white noise,
     # which cross the boundary
     for d in (2, 3):
@@ -620,7 +622,7 @@ def test_membership_agrees_with_lp_oracle(qutrit_vertices):
         rhos = np.concatenate([linalg.ginibre_dm_batch(30, d, d, rng), linalg.haar_pure_batch(30, d, rng)])
         t = rng.uniform(size=(len(rhos), 1, 1))
         rhos = np.concatenate([rhos, (1 - t) * rhos + t * np.eye(d) / d])
-        verdicts = [st.in_polytope(rho, vset) for rho in rhos]
+        verdicts = [st.in_polytope(rho) for rho in rhos]
         assert verdicts == [_lp_member(rho, vset.projectors) for rho in rhos]
         assert 10 < sum(verdicts) < len(rhos) - 10
 

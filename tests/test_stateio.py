@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from magiclab import linalg, stateio
+from conftest import random_pure
 
 
 def test_pure_state_round_trip(tmp_path):
-    psi = linalg.random_pure(3, seed=70)
+    psi = random_pure(3, seed=70)
     path = tmp_path / "pure.txt"
     stateio.write_state(path, psi)
     back = stateio.load_state(path)
@@ -57,10 +58,13 @@ def test_non_finite_entries_rejected(entry):
     ("dim=3\n1,,0\n", "empty numeric field"),
     ("dim=1\n1\n", "dimension must be >= 2, got 1"),
     ("dim=2\n1,0\n0\n", "row needs 2 entries, got 1"),
+    ("dim=3\n1,0\n", "row needs 3 entries, got 2"),
+    ("dim=3\n1,0,0\n0,1,0\n", "expected 1 or 3 data lines, got 2"),
     ("dim=two\n1,0\n", "dim line needs an integer, got 'two'"),
     ("dim=2.0\n1,0\n", "dim line needs an integer, got '2.0'"),
     ("dim=\n1,0\n", "dim line needs an integer, got ''"),
-], ids=["empty_field", "dim_1", "short_row", "dim_word", "dim_float", "dim_empty"])
+], ids=["empty_field", "dim_1", "short_row", "short_pure_row", "line_count", "dim_word", "dim_float",
+        "dim_empty"])
 def test_malformed_files_name_the_fault(text, match):
     with pytest.raises(ValueError, match=match):
         stateio.loads_state(text)
