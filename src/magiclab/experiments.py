@@ -149,13 +149,21 @@ SWEEP_HEADER = ("p", *(f"{col}_{state}_{noise}" for col in ("msn", "ref")
 
 
 def _detect_kink(p, measured, branch1, branch2):
-    """Grid point where the better-fitting branch switches: the last p at
-    which branch1's residual does not exceed branch2's, a tie within 1e-12
-    (a kink on a grid point) going to branch1."""
+    """Grid point nearest the kink. The better-fitting branch switches after
+    the last grid point i at which branch1's residual does not exceed
+    branch2's, a tie within 1e-12 (a kink on a grid point) going to branch1.
+    Across the cell from i to i + 1 the measured curve leaves point i along
+    branch1's slope and reaches point i + 1 along branch2's; the two lines
+    cross at the fraction t = (rise - rise2) / (rise1 - rise2) of the cell,
+    with each rise taken over the cell, and t rounds to the nearer end."""
     better1 = np.abs(measured - branch1) <= np.abs(measured - branch2) + 1e-12
     if not better1.any() or better1.all():
         return None
-    return float(p[np.max(np.nonzero(better1)[0])])
+    i = np.max(np.nonzero(better1)[0])
+    if i + 1 == len(p):
+        return float(p[i])
+    rise, rise1, rise2 = (np.diff(y[i:i + 2])[0] for y in (measured, branch1, branch2))
+    return float(p[i + 1] if (rise - rise2) / (rise1 - rise2) > 0.5 else p[i])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
+# States per chunk of the batch kernels that hold a (n, d, d) stack: each
+# chunk's temporaries stay a few MB, however large n is.
+CHUNK = 4096
+
 
 def rng_from(seed):
     """Return a numpy Generator from a seed (or pass a Generator through)."""
@@ -121,18 +125,34 @@ def random_mixed(d, rank=None, seed=None):
     return ginibre_dm_batch(1, d, rank, rng_from(seed))[0]
 
 
+def _complex_normal(rng, shape):
+    """a + 1j*b for two standard-normal draws a, b of `shape`, built in place:
+    the same stream and the same bits, without the two extra arrays of the sum."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
 def haar_pure_batch(n, d, rng):
     """n Haar-random pure-state projectors, stacked (n, d, d)."""
-    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    v = _complex_normal(rng, (n, d))
     v /= np.linalg.norm(v, axis=1)[:, None]
     return np.einsum("ni,nj->nij", v, v.conj())
 
 
 def ginibre_dm_batch(n, d, rank, rng):
-    """n density matrices G G^dag / tr(G G^dag) from d x rank Ginibre matrices, (n, d, d)."""
-    g = rng.standard_normal((n, d, rank)) + 1j * rng.standard_normal((n, d, rank))
-    rho = np.einsum("nik,njk->nij", g, g.conj())
-    return rho / np.einsum("nii->n", rho).real[:, None, None]
+    """n density matrices G G^dag / tr(G G^dag) from d x rank Ginibre matrices, (n, d, d).
+
+    G G^dag is formed CHUNK states at a time, into G's own buffer when G is
+    square, so the draw is the one full-size stack."""
+    g = _complex_normal(rng, (n, d, rank))
+    rho = g if rank == d else np.empty((n, d, d), dtype=complex)
+    for i in range(0, n, CHUNK):
+        s = slice(i, i + CHUNK)
+        np.einsum("nik,njk->nij", g[s], g[s].conj(), out=rho[s])
+        rho[s] /= np.einsum("nii->n", rho[s]).real[:, None, None]
+    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,27 @@ def random_pure(d, seed=None):
     return v / np.linalg.norm(v)
 
 
+def ginibre_dm_batch_oracle(n, d, rank, rng):
+    """The unchunked Ginibre sampler: a + 1j*b, one full-stack einsum for
+    G G^dag, and a division by the trace into a new stack."""
+    g = rng.standard_normal((n, d, rank)) + 1j * rng.standard_normal((n, d, rank))
+    rho = np.einsum("nik,njk->nij", g, g.conj())
+    return rho / np.einsum("nii->n", rho).real[:, None, None]
+
+
+def haar_pure_batch_oracle(n, d, rng):
+    """The Haar sampler with its draw as a + 1j*b."""
+    v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return np.einsum("ni,nj->nij", v, v.conj())
+
+
+def negativity_batch_oracle(rhos, dims):
+    """Negativity from one unchunked partial transpose and eigvalsh of the whole stack."""
+    pt = linalg.partial_transpose(rhos, dims, 1)
+    return (np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1) - 1.0) / 2.0
+
+
 def random_qutrit_batch(n, seed):
     """Half Haar-pure, half HS-mixed qutrit states, stacked (n, 3, 3)."""
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ def test_sweep_finds_kinks_on_grid_points(p_step):
     data = ex.noise_sweep(cfg)
     assert data.kinks["norrell_white"] == pytest.approx(0.6, abs=1e-12)
     assert data.kinks["strange_coherent"] == pytest.approx(0.6, abs=1e-12)
+    assert all(passed for _, passed, _ in data.checks(cfg))
+
+
+@pytest.mark.parametrize("p_step,strange_white", [(0.04, 0.76), (0.07, 0.77), (0.2, 0.8)])
+def test_sweep_finds_kinks_in_the_upper_half_of_a_cell(p_step, strange_white):
+    # 3/4 lies past the middle of its cell on each grid, so the kink is the
+    # grid point above it; every kink is within half a step of the reference
+    cfg = small_cfg(p_step=p_step)
+    data = ex.noise_sweep(cfg)
+    assert data.kinks["strange_white"] == pytest.approx(strange_white, abs=1e-12)
     assert all(passed for _, passed, _ in data.checks(cfg))
 
 
@@ -258,6 +269,33 @@ def test_run_all_sweep_and_scatter_bytes_pinned(tmp_path):
     }
     for name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_scatter_bytes_pinned_past_the_first_chunk():
+    # 9,000 entanglement samples fill two sampler and negativity chunks and
+    # leave a remainder; digests taken before the kernels were chunked
+    cfg = ex.ExperimentConfig(samples=9000)
+    assert 9000 > 2 * linalg.CHUNK and 9000 % linalg.CHUNK
+    pinned = {
+        ex.coherence_magic_scatter: "f724c97f7cc3ae1b81f083670bac61688ad8085ada54c9a0a9f6383cb81b3e3d",
+        ex.entanglement_magic_scatter: "30282d1934a75d9ea63ebd255bbfe6851cb63eef20de4b68c42039db4343c673",
+    }
+    for experiment, digest in pinned.items():
+        assert hashlib.sha256(experiment(cfg).csv().encode()).hexdigest() == digest, experiment.__name__
+
+
+def test_entanglement_scatter_holds_one_state_stack():
+    # the traced peak stays within two (n, 6, 6) complex stacks; building
+    # the full-size temporaries of the unchunked kernels took about three
+    n = 20_000
+    cfg = ex.ExperimentConfig(samples=n)
+    tracemalloc.start()
+    try:
+        ex.entanglement_magic_scatter(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * 36 * np.dtype(complex).itemsize
 
 
 def test_run_all_negative_control(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from magiclab import channels, linalg, monotones as mo
-from conftest import is_density_matrix, random_pure, trace_distance
+from conftest import (ginibre_dm_batch_oracle, haar_pure_batch_oracle, is_density_matrix,
+                      random_pure, trace_distance)
 
 
 def test_dm_from_pure_basis():
@@ -149,6 +150,28 @@ def test_batch_samplers_give_density_matrices():
         for rho in rhos:
             linalg.validate_density_matrix(rho)
             assert np.sum(np.linalg.eigvalsh(rho) > 1e-12) == rank
+
+
+@pytest.mark.parametrize("n", [1, 2 * linalg.CHUNK + 1])
+@pytest.mark.parametrize("d,rank", [(6, 3), (6, 6), (6, 9), (3, 2), (3, 3), (3, 7)])
+def test_ginibre_dm_batch_matches_the_unchunked_oracle_bit_for_bit(n, d, rank):
+    # same states to the bit over full chunks and a one-state remainder, and
+    # the generator left where the oracle leaves it
+    rng, oracle_rng = np.random.default_rng(n + rank), np.random.default_rng(n + rank)
+    got = linalg.ginibre_dm_batch(n, d, rank, rng)
+    want = ginibre_dm_batch_oracle(n, d, rank, oracle_rng)
+    assert got.shape == want.shape == (n, d, d)
+    assert np.array_equal(got.view(float), want.view(float))
+    assert rng.standard_normal() == oracle_rng.standard_normal()
+
+
+@pytest.mark.parametrize("n", [1, 2 * linalg.CHUNK + 1])
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_haar_pure_batch_matches_the_oracle_bit_for_bit(n, d):
+    rng, oracle_rng = np.random.default_rng(n + d), np.random.default_rng(n + d)
+    got, want = linalg.haar_pure_batch(n, d, rng), haar_pure_batch_oracle(n, d, oracle_rng)
+    assert np.array_equal(got.view(float), want.view(float))
+    assert rng.standard_normal() == oracle_rng.standard_normal()
 
 
 def test_tensor_partial_trace_roundtrip():

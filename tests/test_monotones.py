@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as hst
 
 from magiclab import (channels, cli, linalg, monotones as mo, phasespace as ps,
                       stabilizer as st, stateio)
-from conftest import cw_grid_oracle, cw_lp_oracle, random_pure, random_qutrit_batch
+from conftest import (cw_grid_oracle, cw_lp_oracle, negativity_batch_oracle, random_pure,
+                      random_qutrit_batch)
 
 
 def test_sum_negativity_named(named_states):
@@ -295,6 +296,18 @@ def test_negativity_batch_rows_match_the_scalar_form():
     assert all(mo.negativity(rho, (3, 2)) == max(0.0, row) for rho, row in zip(rhos, batch))
     on_a = (np.abs(np.linalg.eigvalsh(linalg.partial_transpose(rhos, (3, 2), 0))).sum(axis=1) - 1) / 2
     assert np.max(np.abs(on_a - batch)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2 * linalg.CHUNK + 1])
+def test_negativity_batch_matches_the_unchunked_oracle_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    rhos = np.concatenate([linalg.ginibre_dm_batch(n, 6, 6, rng), linalg.haar_pure_batch(n, 6, rng)])
+    assert np.array_equal(mo.negativity_batch(rhos, (3, 2)), negativity_batch_oracle(rhos, (3, 2)))
+    # any leading shape, and one matrix as a numpy scalar, as the oracle gives
+    stack = rhos[:n].reshape((1, n, 6, 6))
+    assert np.array_equal(mo.negativity_batch(stack, (3, 2)), negativity_batch_oracle(stack, (3, 2)))
+    one = mo.negativity_batch(rhos[0], (3, 2))
+    assert type(one) is np.float64 and one == negativity_batch_oracle(rhos[0], (3, 2))
 
 
 def test_negativity_requires_dims():
