@@ -160,9 +160,7 @@ def _detect_kink(p, measured, branch1, branch2):
     if not better1.any() or better1.all():
         return None
     i = np.max(np.nonzero(better1)[0])
-    if i + 1 == len(p):
-        return float(p[i])
-    rise, rise1, rise2 = (np.diff(y[i:i + 2])[0] for y in (measured, branch1, branch2))
+    rise, rise1, rise2 = (y[i + 1] - y[i] for y in (measured, branch1, branch2))
     return float(p[i + 1] if (rise - rise2) / (rise1 - rise2) > 0.5 else p[i])
 
 
