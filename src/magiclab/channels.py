@@ -279,9 +279,16 @@ def _mixed_and_pure(n, d, rng):
 def _incoherent_outcomes(n_trials, rng):
     """The draws of the result1 and selective audits: qutrits rho (n, 3, 3) and
     their outcomes K_i rho K_i^dag (n, 9, 3, 3) under random incoherent
-    channels with 1..9 Kraus elements, zero past each channel's count."""
+    channels with 1..9 Kraus elements, zero past each channel's count. The
+    trials are grouped by count, so that no zero Kraus block is multiplied."""
     rhos = _mixed_and_pure(n_trials, 3, rng)
-    return rhos, _images(_incoherent_kraus(rng.integers(1, 10, size=n_trials), 3, rng), rhos)
+    counts = rng.integers(1, 10, size=n_trials)
+    kraus = _incoherent_kraus(counts, 3, rng)
+    outcomes = np.zeros_like(kraus)
+    for k in range(1, 10):  # one batch per count, so the calls do not grow with n_trials
+        group = np.flatnonzero(counts == k)
+        outcomes[group, :k] = _images(kraus[group, :k], rhos[group])
+    return rhos, outcomes
 
 
 def result1_audit(n_trials=10000, seed=0, tol=1e-8):

@@ -1,5 +1,6 @@
 """Seeded batch experiments emitting CSV: noise sweeps, conjecture scatters,
-and the channel audits, plus the run-everything aggregator.
+and the channel audits, plus the run-everything aggregator, which runs its
+stages on a pool of forked worker processes.
 
 Reproducibility contract: every experiment derives its generator as
 ``default_rng((seed + offset) % 2**64)`` with a fixed per-experiment offset,
@@ -14,9 +15,11 @@ scatter is one (n, k) block per sample kind. :func:`csv_text` is the one
 writer of every CSV.
 """
 
+import atexit
 import dataclasses
 import os
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -320,21 +323,74 @@ class RunReport:
         yield f"overall={'PASS' if self.passed else 'FAIL'}"
 
 
-def run_all(cfg):
-    """The experiments of EXPERIMENTS and the four channel audits; writes their
-    CSV artifacts under cfg.outdir and aggregates pass/fail."""
-    results = [run(cfg) for run in EXPERIMENTS.values()]
-    checks = [check for data in results for check in data.checks(cfg)]
+# run_all's stages, in the order of its checks and files; each draws from
+# its own derived stream, so they share no state and may run in any process
+STAGES = (*EXPERIMENTS, *channels.AUDIT_SUITES)
+_pool = None    # run_all's worker pool, made by its first call (see _stage_pool)
 
-    audit_blocks = []
-    for name, audit in channels.AUDIT_SUITES.items():
+
+def _run_stage(cfg, name):
+    """One stage of run_all: its (name, passed, detail) checks, then
+    (CSV file name, CSV text) for an experiment or the audits.csv row for an
+    audit, then its seconds and the id of the process that ran it."""
+    t0 = perf_counter()
+    if name in EXPERIMENTS:
+        data = EXPERIMENTS[name](cfg)
+        checks, out = data.checks(cfg), (data.CSV_NAME, data.csv())
+    else:
         trials = getattr(cfg, f"{name}_trials")
-        report = audit(n_trials=trials, seed=derived_rng(cfg.seed, f"audit_{name}"))
-        checks.append((f"audit_{name}", report.passed,
-                       f"worst_margin={report.worst_margin:.3e} trials={trials}"))
-        audit_blocks.append((name, [[trials, int(report.passed), report.worst_margin]]))
+        report = channels.AUDIT_SUITES[name](n_trials=trials, seed=derived_rng(cfg.seed, f"audit_{name}"))
+        checks = [(f"audit_{name}", report.passed,
+                   f"worst_margin={report.worst_margin:.3e} trials={trials}")]
+        out = [trials, int(report.passed), report.worst_margin]
+    return checks, out, perf_counter() - t0, os.getpid()
 
-    for data in results:
-        write_csv(os.path.join(cfg.outdir, data.CSV_NAME), data.csv())
+
+def _stage_pool():
+    """run_all's process pool, made on first use and kept for later calls:
+    one worker per usable CPU, at most one per stage. The workers are
+    forked, so a caller's script needs no __main__ guard (spawned workers
+    would re-run it), and they see the library as it was at that first call.
+    None where fork or the CPU affinity is unavailable (Windows, macOS) or one
+    CPU is usable; the stages then run in-process."""
+    global _pool
+    if _pool is not None:
+        return _pool
+    import multiprocessing
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
+        from concurrent.futures import ProcessPoolExecutor
+        _pool = ProcessPoolExecutor(min(cpus, len(STAGES)), multiprocessing.get_context("fork"))
+        atexit.register(_pool.shutdown)
+    return _pool
+
+
+def run_all(cfg):
+    """The experiments of EXPERIMENTS and the four channel audits, one stage
+    each on run_all's process pool (in-process where there is none); writes
+    their CSV artifacts under cfg.outdir and aggregates pass/fail. Logs each
+    stage's seconds and process id at DEBUG on the "magiclab" logger. A worker
+    that dies raises ChildProcessError, and the next call makes a new pool."""
+    # imported here so that `import magiclab` loads neither processes nor logging
+    import logging
+    from concurrent.futures.process import BrokenProcessPool
+    global _pool
+    pool = _stage_pool()
+    try:
+        results = list((pool.map if pool else map)(_run_stage, [cfg] * len(STAGES), STAGES))
+    except BrokenProcessPool as exc:
+        atexit.unregister(pool.shutdown)
+        pool.shutdown()
+        _pool = None
+        raise ChildProcessError(f"a run-all worker process died: {exc}") from None
+
+    log = logging.getLogger("magiclab")
+    audit_blocks = []
+    for name, (_, out, seconds, pid) in zip(STAGES, results):
+        log.debug("run-all stage %s: %.3f s in process %d", name, seconds, pid)
+        if name in EXPERIMENTS:
+            write_csv(os.path.join(cfg.outdir, out[0]), out[1])
+        else:
+            audit_blocks.append((name, [out]))
     write_csv(os.path.join(cfg.outdir, "audits.csv"), csv_text(AUDITS_HEADER, audit_blocks, []))
-    return RunReport(checks=checks)
+    return RunReport(checks=[check for checks, *_ in results for check in checks])

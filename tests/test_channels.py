@@ -116,6 +116,19 @@ def test_images_match_kraus_loop():
         assert np.max(np.abs(images - np.array(kraus_images_loop(lam.kraus, rho)))) < 1e-15
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 345])
+def test_incoherent_outcomes_grouped_by_count_keep_the_padded_bytes(seed):
+    # result1's and selective's outcomes skip the zero Kraus blocks; every
+    # byte, padding included, is that of the product over the padded stack
+    n = 500
+    rhos, outcomes = ch._incoherent_outcomes(n, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    padded_rhos = ch._mixed_and_pure(n, 3, rng)
+    kraus = ch._incoherent_kraus(rng.integers(1, 10, size=n), 3, rng)
+    assert rhos.tobytes() == padded_rhos.tobytes()
+    assert outcomes.tobytes() == ch._images(kraus, padded_rhos).tobytes()
+
+
 def test_sample_incoherent_rejects_no_kraus():
     with pytest.raises(ValueError):
         ch.sample_incoherent_channel(3, 0, seed=0)

@@ -1,14 +1,16 @@
 import ast
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import magiclab
-from magiclab import channels, cli, linalg, phasespace as ps, stateio
+from magiclab import channels, cli, experiments, linalg, phasespace as ps, stateio
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -158,6 +160,27 @@ def test_run_all_rejects_zero_trials_in_config(tmp_path):
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and "lp_trials" in res.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_run_all_dead_worker_is_an_error_and_the_next_run_recovers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("samples=200\nresult1_trials=20\nlp_trials=10\nselective_trials=10\ngso_trials=20\n")
+    args = ["run-all", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    pool = experiments._pool
+    if pool is None:
+        pytest.skip("run_all has no pool here: one usable CPU or no fork")
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 60
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    capsys.readouterr()
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a run-all worker process died") and err.count("\n") == 1
+    assert experiments._pool is None
+    assert cli.main(args) == 0
+    assert experiments._pool not in (None, pool)
 
 
 @pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "inf"]])

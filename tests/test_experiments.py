@@ -1,5 +1,10 @@
 import hashlib
+import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +317,69 @@ def test_derived_rng_streams_disjoint():
     assert not np.allclose(a, b)
     again = ex.derived_rng(42, "scatter_coherence").standard_normal(4)
     assert np.array_equal(a, again)
+
+
+def tiny_cfg(**kw):
+    return small_cfg(**dict(dict(samples=200, result1_trials=20, lp_trials=10,
+                                 selective_trials=10, gso_trials=20), **kw))
+
+
+def run_python(code):
+    src = str(Path(ex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+def stage_pids(caplog):
+    # {stage: process id} from run_all's per-stage DEBUG records
+    pids = {}
+    for record in caplog.records:
+        if record.name != "magiclab":
+            continue
+        name, _, pid = record.args
+        pids[name] = pid
+    caplog.clear()
+    return pids
+
+
+def test_run_all_on_its_pool_matches_in_process(tmp_path, monkeypatch, caplog):
+    if ex._stage_pool() is None:
+        pytest.skip("run_all has no pool here: one usable CPU or no fork")
+    caplog.set_level(logging.DEBUG, logger="magiclab")
+    pooled = ex.run_all(tiny_cfg(outdir=str(tmp_path / "pool")))
+    assert os.getpid() not in stage_pids(caplog).values()
+    monkeypatch.setattr(ex, "_stage_pool", lambda: None)
+    in_process = ex.run_all(tiny_cfg(outdir=str(tmp_path / "map")))
+    assert set(stage_pids(caplog).values()) == {os.getpid()}
+    assert pooled.checks == in_process.checks
+    for name in ("sweep.csv", "coherence_scatter.csv", "entanglement_scatter.csv", "audits.csv"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "map" / name).read_bytes()
+
+
+def test_run_all_logs_every_stage(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="magiclab")
+    ex.run_all(tiny_cfg(outdir=str(tmp_path)))
+    assert set(stage_pids(caplog)) == set(ex.STAGES) == {
+        "sweep", "scatter-coherence", "scatter-entanglement", "result1", "lp", "selective", "gso"}
+
+
+def test_importing_magiclab_loads_no_process_machinery():
+    res = run_python("import sys, magiclab\n"
+                     "print([m for m in ('multiprocessing', 'concurrent.futures.process', 'logging')"
+                     " if m in sys.modules])")
+    assert res.returncode == 0 and res.stdout == "[]\n", res.stderr
+
+
+def test_run_all_from_a_script_without_a_main_guard(tmp_path):
+    # forked workers do not re-run the caller's script; none outlives it,
+    # and the exit leaves nothing on stderr
+    res = run_python("from magiclab import experiments as ex\n"
+                     f"cfg = ex.ExperimentConfig(outdir={str(tmp_path)!r}, samples=200,"
+                     " result1_trials=20, lp_trials=10, selective_trials=10, gso_trials=20)\n"
+                     "assert ex.run_all(cfg).passed\n"
+                     "print(*(ex._pool._processes if ex._pool else ()))\n")
+    assert res.returncode == 0 and res.stderr == ""
+    for pid in map(int, res.stdout.split()):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
