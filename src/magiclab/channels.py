@@ -37,6 +37,7 @@ INCOHERENT_ENTRY_TOL = 1e-9
 PROB_FLOOR = 1e-12    # selective outcomes at or below this probability are dropped
 MONOTONE_TOL = 1e-9   # allowed coherence increase in the lp and selective audits
 CW_SLACK = 2e-6       # allowed C_w increase in the contractivity audit
+VERTEX_TOL = 1e-7     # slack of classify's two flags and the gso audit's fixed-vertex test
 
 
 @dataclass(frozen=True)
@@ -186,12 +187,10 @@ def incoherent_clifford_unitaries(d):
     return group[_is_monomial(group)]
 
 
-def _fixes_vertices(images, verts, tol):
-    """Whether max |image - vertex| <= tol over the last three axes of the
-    vertex images (..., m, d, d), for a finite tol."""
-    if not np.isfinite(tol):
-        raise ValueError(f"need a finite tol, got {tol}")
-    return np.max(np.abs(images - verts), axis=(-3, -2, -1)) <= tol
+def _fixes_vertices(images, verts):
+    """Whether max |image - vertex| <= VERTEX_TOL over the last three axes of
+    the vertex images (..., m, d, d)."""
+    return np.max(np.abs(images - verts), axis=(-3, -2, -1)) <= VERTEX_TOL
 
 
 @dataclass(frozen=True)
@@ -203,14 +202,14 @@ class HierarchyFlags:
     genuinely_stabilizer: bool
 
 
-def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
+def classify(channel, vertex_set, seed=0, n_probe=50):
     """Hierarchy flags for a channel. A single Kraus matrix is an incoherent
     Clifford unitary iff it is incoherent and in the enumerated group, modulo
     phase. Stabilizer preservation is decided exactly from the vertex images,
     since the channel is linear and the polytope is the vertices' hull: the
     channel is preserving iff every image passes `stabilizer.in_polytope_batch`
-    with the facet slack `tol`, and genuinely stabilizer iff every image is
-    its vertex within `tol`. `seed` and `n_probe` have no effect."""
+    with the facet slack VERTEX_TOL, and genuinely stabilizer iff every image
+    is its vertex within VERTEX_TOL. `seed` and `n_probe` have no effect."""
     d = vertex_set.dim
     if not channel.dim_in == channel.dim_out == d:
         raise ValueError(f"channel maps {channel.dim_in} -> {channel.dim_out}, "
@@ -219,8 +218,8 @@ def classify(channel, vertex_set, seed=0, n_probe=50, tol=1e-7):
     clifford = incoh and len(channel.kraus) == 1 and channel.kraus[0] in stabilizer.clifford_group(d)
     images = _images(channel.kraus, vertex_set.projectors).sum(axis=1)
     return HierarchyFlags(incoherent=incoh, incoherent_clifford_unitary=clifford,
-                          stabilizer_preserving=bool(stabilizer.in_polytope_batch(images, tol).all()),
-                          genuinely_stabilizer=bool(_fixes_vertices(images, vertex_set.projectors, tol)))
+                          stabilizer_preserving=bool(stabilizer.in_polytope_batch(images, VERTEX_TOL).all()),
+                          genuinely_stabilizer=bool(_fixes_vertices(images, vertex_set.projectors)))
 
 
 def estimate_cm(rho, n_trials, seed=None):
@@ -273,7 +272,7 @@ def _require_trials(n_trials):
 
 def _mixed_and_pure(n, d, rng):
     """(n, d, d): ceil(n/2) Hilbert-Schmidt mixed states, then floor(n/2) Haar pure ones."""
-    return np.concatenate([ginibre_dm_batch((n + 1) // 2, d, d, rng), haar_pure_batch(n // 2, d, rng)])
+    return np.concatenate([ginibre_dm_batch((n + 1) // 2, d, rng), haar_pure_batch(n // 2, d, rng)])
 
 
 def _incoherent_outcomes(n_trials, rng):
@@ -351,7 +350,7 @@ def lp_monotonicity_audit(n_trials=1000, seed=0):
     _require_trials(n_trials)
     rng = rng_from(seed)
     monomials = incoherent_clifford_unitaries(3)
-    rhos = ginibre_dm_batch(n_trials, 3, 3, rng)
+    rhos = ginibre_dm_batch(n_trials, 3, rng)
     u_sys, u_anc = monomials[rng.integers(len(monomials), size=(2, n_trials))]
     joint = tensor(rhos, rng.dirichlet(np.ones(3), size=n_trials)[:, :, None] * np.eye(3))
     evolved = _images(tensor(u_sys, u_anc)[:, None], joint)[:, 0]
@@ -401,7 +400,7 @@ def gso_audit(n_trials=10000, seed=0):
     counts = rng.integers(1, 5, size=n_trials)
     kraus = _haar_kraus(counts, 2, rng)
     images = _summed_images(kraus, verts)  # (n, vertex, 2, 2)
-    fixes = _fixes_vertices(images, verts, 1e-7)
+    fixes = _fixes_vertices(images, verts)
     # a unitary equal to the identity up to phase fixes everything; skip those
     u = kraus[:, 0]
     trivial = (counts == 1) & (np.max(np.abs(u - u[:, :1, :1] * np.eye(2)), axis=(1, 2)) < 1e-9)

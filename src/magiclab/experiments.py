@@ -55,10 +55,6 @@ class ExperimentConfig:
     p_step: float = 0.01
     tolerance: float = 1e-9
     outdir: str = "results"
-    # Ginibre rank of the mixed samples (0 = full: 3 for the qutrit scatter,
-    # 6 for the qutrit-qubit one); a rank above d draws full-rank states from
-    # the induced measure with a rank-dimensional environment, more mixed as it grows
-    rank: int = 0
     result1_trials: int = 10_000
     lp_trials: int = 1_000
     selective_trials: int = 1_000
@@ -73,8 +69,6 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.rank < 0:
-            raise ValueError(f"rank must be >= 0, got {self.rank}")
         for suite in channels.AUDIT_SUITES:
             if getattr(self, f"{suite}_trials") < 1:
                 raise ValueError(f"{suite}_trials must be >= 1")
@@ -246,9 +240,8 @@ def coherence_magic_scatter(cfg):
     rng = derived_rng(cfg.seed, "scatter_coherence")
     n_pure = cfg.samples
     n_mixed = max(1, cfg.samples // 10)
-    rank = cfg.rank if cfg.rank else 3
     pure = haar_pure_batch(n_pure, 3, rng)
-    mixed = ginibre_dm_batch(n_mixed, 3, rank, rng)
+    mixed = ginibre_dm_batch(n_mixed, 3, rng)
 
     blocks = {}
     for kind, batch in (("pure", pure), ("mixed", mixed)):
@@ -285,8 +278,7 @@ def entanglement_magic_scatter(cfg):
     rng = derived_rng(cfg.seed, "scatter_entanglement")
     n_mixed = cfg.samples
     n_pure = max(1, cfg.samples // 10)
-    rank = cfg.rank if cfg.rank else 6
-    batches = (("mixed", ginibre_dm_batch(n_mixed, 6, rank, rng)),
+    batches = (("mixed", ginibre_dm_batch(n_mixed, 6, rng)),
                ("pure", haar_pure_batch(n_pure, 6, rng)))
 
     blocks = {}
@@ -365,6 +357,15 @@ def _stage_pool():
     return _pool
 
 
+def _drop_pool():
+    """Shut run_all's pool down and forget it, so the next call forks a new one."""
+    global _pool
+    if _pool is not None:
+        atexit.unregister(_pool.shutdown)
+        _pool.shutdown()
+        _pool = None
+
+
 def run_all(cfg):
     """The experiments of EXPERIMENTS and the four channel audits, one stage
     each on run_all's process pool (in-process where there is none); writes
@@ -374,14 +375,11 @@ def run_all(cfg):
     # imported here so that `import magiclab` loads neither processes nor logging
     import logging
     from concurrent.futures.process import BrokenProcessPool
-    global _pool
     pool = _stage_pool()
     try:
         results = list((pool.map if pool else map)(_run_stage, [cfg] * len(STAGES), STAGES))
     except BrokenProcessPool as exc:
-        atexit.unregister(pool.shutdown)
-        pool.shutdown()
-        _pool = None
+        _drop_pool()
         raise ChildProcessError(f"a run-all worker process died: {exc}") from None
 
     log = logging.getLogger("magiclab")

@@ -113,16 +113,12 @@ def maximally_coherent_state(d=3):
 # random sampling
 # ---------------------------------------------------------------------------
 
-def random_mixed(d, rank=None, seed=None):
-    """Random density matrix rho = G G^dag / tr(G G^dag), G a d x rank Ginibre matrix.
-
-    rank=d (the default) samples from the Hilbert-Schmidt measure.
-    """
-    if rank is None:
-        rank = d
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must satisfy 1 <= rank <= {d}, got {rank}")
-    return ginibre_dm_batch(1, d, rank, rng_from(seed))[0]
+def random_mixed(d, seed=None):
+    """Random density matrix from the Hilbert-Schmidt measure: G G^dag / tr(G G^dag),
+    G a d x d Ginibre matrix."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    return ginibre_dm_batch(1, d, rng_from(seed))[0]
 
 
 def _complex_normal(rng, shape):
@@ -141,16 +137,14 @@ def haar_pure_batch(n, d, rng):
     return np.einsum("ni,nj->nij", v, v.conj())
 
 
-def ginibre_dm_batch(n, d, rank, rng):
-    """n density matrices G G^dag / tr(G G^dag) from d x rank Ginibre matrices, (n, d, d).
-
-    G G^dag is formed CHUNK states at a time, into G's own buffer when G is
-    square, so the draw is the one full-size stack."""
-    g = _complex_normal(rng, (n, d, rank))
-    rho = g if rank == d else np.empty((n, d, d), dtype=complex)
+def ginibre_dm_batch(n, d, rng):
+    """n Hilbert-Schmidt density matrices G G^dag / tr(G G^dag) from d x d
+    Ginibre matrices, (n, d, d). G G^dag is formed CHUNK states at a time into
+    G's own buffer, so the draw is the one full-size stack."""
+    rho = _complex_normal(rng, (n, d, d))
     for i in range(0, n, CHUNK):
         s = slice(i, i + CHUNK)
-        np.einsum("nik,njk->nij", g[s], g[s].conj(), out=rho[s])
+        np.einsum("nik,njk->nij", rho[s], rho[s].conj(), out=rho[s])
         rho[s] /= np.einsum("nii->n", rho[s]).real[:, None, None]
     return rho
 

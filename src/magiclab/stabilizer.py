@@ -418,13 +418,10 @@ def polytope_distance(rho, vertex_set):
                           weights=w[0], iterations=int(iters[0]), certified=bool(certified[0]))
 
 
-def in_polytope(rho, *, tol=1e-7):
+def in_polytope(rho):
     """Whether rho lies in the stabilizer polytope of its dimension, decided
-    exactly from the facets by :func:`in_polytope_batch` with the facet slack `tol`."""
-    rho = validate_density_matrix(rho)
-    if not np.isfinite(tol):
-        raise ValueError(f"in_polytope needs a finite tol, got {tol}")
-    return bool(in_polytope_batch(rho, tol))
+    exactly from the facets by :func:`in_polytope_batch` with its default slack."""
+    return bool(in_polytope_batch(validate_density_matrix(rho)))
 
 
 def incoherent_distance(rho):

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from magiclab import linalg, phasespace, stabilizer
+from magiclab import experiments, linalg, phasespace, stabilizer
+
+
+@pytest.fixture(autouse=True)
+def _fresh_run_all_pool(request):
+    """run_all's forked workers keep the library as it was when their pool was
+    made, so a test that may patch the library gets a pool forked after its
+    patches and leaves none behind that still carries them."""
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    experiments._drop_pool()
+    yield
+    experiments._drop_pool()
 
 
 @pytest.fixture(scope="session")
@@ -51,10 +64,10 @@ def random_pure(d, seed=None):
     return v / np.linalg.norm(v)
 
 
-def ginibre_dm_batch_oracle(n, d, rank, rng):
+def ginibre_dm_batch_oracle(n, d, rng):
     """The unchunked Ginibre sampler: a + 1j*b, one full-stack einsum for
     G G^dag, and a division by the trace into a new stack."""
-    g = rng.standard_normal((n, d, rank)) + 1j * rng.standard_normal((n, d, rank))
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     rho = np.einsum("nik,njk->nij", g, g.conj())
     return rho / np.einsum("nii->n", rho).real[:, None, None]
 

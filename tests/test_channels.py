@@ -30,7 +30,6 @@ def test_boundary_checks_name_the_violation(call, match):
 
 MIXED_VS_BASIS = (np.eye(3)[None] / 3, st.basis_projectors(3))
 TOLERANT_CALLS = {
-    "classify": lambda **kw: ch.classify(ch.identity_channel(3), st.stabilizer_pure_states(3), **kw),
     "result1_audit": lambda **kw: ch.result1_audit(20, 1, **kw),
     "solve_decided": lambda **kw: st.solve_decided([MIXED_VS_BASIS], **kw),
     "polytope_distance_batch": lambda **kw: st.polytope_distance_batch(*MIXED_VS_BASIS, **kw),
@@ -42,14 +41,14 @@ TOLERANCE_CASES = ([(name, {"tol": tol}) for name in TOLERANT_CALLS for tol in (
                       for m in (0, -1)])
 
 
-# case ids skip kwargs3-5, the removed is_genuinely_stabilizer rows, so every
-# other case keeps its id
+# case ids skip kwargs0-5, the removed rows of classify's tol and of
+# is_genuinely_stabilizer, so every other case keeps its id
 @pytest.mark.parametrize("name, kwargs", TOLERANCE_CASES,
-                         ids=[f"{name}-kwargs{i + 3 * (i >= 3)}" for i, (name, _) in enumerate(TOLERANCE_CASES)])
+                         ids=[f"{name}-kwargs{i + 6}" for i, (name, _) in enumerate(TOLERANCE_CASES)])
 def test_tolerances_and_iteration_caps_are_checked(name, kwargs):
-    # a nan tol makes every comparison False: the identity would read as
-    # neither preserving nor genuinely stabilizer, result1 as failed with no
-    # violation, and a solve would run to max_iter; max_iter 0 returned [0, inf]
+    # a nan tol makes every comparison False: result1 would read as failed
+    # with no violation, and a solve would run to max_iter; max_iter 0
+    # returned [0, inf]
     with pytest.raises(ValueError):
         TOLERANT_CALLS[name](**kwargs)
 
@@ -374,13 +373,13 @@ def test_result1_branch_and_bound_matches_full_solves(seed, tol):
 @pytest.mark.parametrize("u", [np.eye(3), np.diag([1.0, np.exp(0.3j), 1.0]),
                                ch.sample_channel(3, 1, seed=5).kraus[0]])
 def test_classify_early_stop_matches_full_solve(qutrit_vertices, u):
-    # the full-solve rule: preserving iff every probe image's upper bound <= tol
-    tol, n_probe = 1e-7, 10
+    # the full-solve rule: preserving iff every probe image's upper bound <= VERTEX_TOL
+    tol, n_probe = ch.VERTEX_TOL, 10
     verts = qutrit_vertices.projectors
     weights = np.random.default_rng(0).dirichlet(np.ones(len(verts)), size=n_probe)
     probes = np.concatenate([verts, np.einsum("nm,mij->nij", weights, verts)])
     bounds, _, _, _ = st.polytope_distance_batch(u @ probes @ u.conj().T, verts)
-    flags = ch.classify(ch.unitary_channel(u), qutrit_vertices, seed=0, n_probe=n_probe, tol=tol)
+    flags = ch.classify(ch.unitary_channel(u), qutrit_vertices, seed=0, n_probe=n_probe)
     assert flags.stabilizer_preserving == bool(np.all(bounds[:, 1] <= tol))
 
 

@@ -192,12 +192,15 @@ def test_run_all_rejects_non_finite_tolerance(tmp_path, flags):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_all_rejects_negative_rank(tmp_path):
+def test_run_all_rejects_the_removed_rank_key(tmp_path):
+    # the mixed samples are full rank; a config that still sets a rank is refused
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("rank=-1\n")
+    cfg.write_text("rank=3\n")
     res = run_cli("run-all", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert res.returncode == 1
-    assert res.stderr.startswith("error:") and "rank" in res.stderr
+    assert res.stderr == "error: unknown config key: rank\n"
+    assert res.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, words", [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from magiclab import experiments as ex, linalg, monotones as mo
+from magiclab import channels, experiments as ex, linalg, monotones as mo
 from conftest import csv_text_oracle
 
 
@@ -38,9 +38,6 @@ def test_config_validation():
             ex.ExperimentConfig(tolerance=value)
         with pytest.raises(ValueError, match="p_step"):
             ex.ExperimentConfig(p_step=value)
-    with pytest.raises(ValueError, match="rank"):
-        ex.ExperimentConfig(rank=-1)
-    assert ex.ExperimentConfig(rank=7).rank == 7  # induced measure, documented
 
 
 def test_p_grid_stops_at_p_stop():
@@ -49,16 +46,6 @@ def test_p_grid_stops_at_p_stop():
     assert ex.ExperimentConfig(p_start=0.1, p_stop=0.3, p_step=0.1).p_grid().size == 3
     # the default grid keeps its 101 points, bit for bit
     assert np.array_equal(ex.ExperimentConfig().p_grid(), 0.0 + 0.01 * np.arange(101))
-
-
-def test_rank_above_dimension_samples_full_rank_states():
-    # the documented meaning of rank > 3 for the qutrit scatter's mixed samples
-    rng = np.random.default_rng(12)
-    low, high = linalg.ginibre_dm_batch(50, 3, 2, rng), linalg.ginibre_dm_batch(50, 3, 7, rng)
-    assert np.all(np.linalg.eigvalsh(low)[:, 0] < 1e-12)
-    assert np.all(np.linalg.eigvalsh(high)[:, 0] > 1e-6)
-    data = ex.coherence_magic_scatter(ex.ExperimentConfig(samples=200, rank=7))
-    assert len(data.blocks["mixed"]) == 20
 
 
 def test_config_from_file(tmp_path):
@@ -108,6 +95,15 @@ def test_sweep_finds_kinks_in_the_upper_half_of_a_cell(p_step, strange_white):
     data = ex.noise_sweep(cfg)
     assert data.kinks["strange_white"] == pytest.approx(strange_white, abs=1e-12)
     assert all(passed for _, passed, _ in data.checks(cfg))
+
+
+def test_sweep_reports_no_kink_that_is_off_its_grid():
+    # p_start=0.7 leaves the kinks at 0.6 off the grid: one branch fits every point
+    cfg = small_cfg(p_start=0.7)
+    data = ex.noise_sweep(cfg)
+    assert data.kinks == {"strange_white": pytest.approx(0.75, abs=1e-12)}
+    assert [(name, ok) for name, ok, _ in data.checks(cfg)] == [("sweep_residual", True),
+                                                                ("sweep_kinks", False)]
 
 
 def test_sweep_matches_formulas_on_grid():
@@ -362,6 +358,19 @@ def test_run_all_logs_every_stage(tmp_path, caplog):
     ex.run_all(tiny_cfg(outdir=str(tmp_path)))
     assert set(stage_pids(caplog)) == set(ex.STAGES) == {
         "sweep", "scatter-coherence", "scatter-entanglement", "result1", "lp", "selective", "gso"}
+
+
+def test_run_all_workers_see_a_patched_library(tmp_path, monkeypatch):
+    # the test before this one left a pool forked from the unpatched library
+    monkeypatch.setattr(channels, "MONOTONE_TOL", -1.0)
+    if ex._stage_pool() is None:
+        pytest.skip("run_all has no pool here: one usable CPU or no fork")
+    report = ex.run_all(tiny_cfg(outdir=str(tmp_path)))
+    assert [name for name, ok, _ in report.checks if not ok] == ["audit_lp", "audit_selective"]
+
+
+def test_run_all_workers_forget_the_previous_tests_patch(tmp_path):
+    assert ex.run_all(tiny_cfg(outdir=str(tmp_path))).passed
 
 
 def test_importing_magiclab_loads_no_process_machinery():

@@ -289,9 +289,9 @@ def test_negativity_batch_rows_match_the_scalar_form():
     # the scalar form clamps the batch kernel's row at 0, bit for bit; the
     # kernel transposes the second factor, and the first gives the same spectrum
     rng = np.random.default_rng(58)
-    rhos = np.concatenate([linalg.ginibre_dm_batch(40, 6, 6, rng), linalg.haar_pure_batch(20, 6, rng),
-                           linalg.tensor(linalg.ginibre_dm_batch(10, 3, 3, rng),
-                                         linalg.ginibre_dm_batch(10, 2, 2, rng))])
+    rhos = np.concatenate([linalg.ginibre_dm_batch(40, 6, rng), linalg.haar_pure_batch(20, 6, rng),
+                           linalg.tensor(linalg.ginibre_dm_batch(10, 3, rng),
+                                         linalg.ginibre_dm_batch(10, 2, rng))])
     batch = mo.negativity_batch(rhos, (3, 2))
     assert all(mo.negativity(rho, (3, 2)) == max(0.0, row) for rho, row in zip(rhos, batch))
     on_a = (np.abs(np.linalg.eigvalsh(linalg.partial_transpose(rhos, (3, 2), 0))).sum(axis=1) - 1) / 2
@@ -301,7 +301,7 @@ def test_negativity_batch_rows_match_the_scalar_form():
 @pytest.mark.parametrize("n", [1, 2 * linalg.CHUNK + 1])
 def test_negativity_batch_matches_the_unchunked_oracle_bit_for_bit(n):
     rng = np.random.default_rng(n)
-    rhos = np.concatenate([linalg.ginibre_dm_batch(n, 6, 6, rng), linalg.haar_pure_batch(n, 6, rng)])
+    rhos = np.concatenate([linalg.ginibre_dm_batch(n, 6, rng), linalg.haar_pure_batch(n, 6, rng)])
     assert np.array_equal(mo.negativity_batch(rhos, (3, 2)), negativity_batch_oracle(rhos, (3, 2)))
     # any leading shape, and one matrix as a numpy scalar, as the oracle gives
     stack = rhos[:n].reshape((1, n, 6, 6))

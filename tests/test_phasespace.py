@@ -186,8 +186,9 @@ def test_striations_pairwise_line_intersections():
 
 
 def test_striations_reject_nonprime():
-    with pytest.raises(ValueError):
-        ps.striations(4)
+    for d in (0, 1, 4):
+        with pytest.raises(ValueError, match="prime"):
+            ps.striations(d)
 
 
 def test_wigner_covariance_under_shift():

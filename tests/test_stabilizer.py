@@ -29,8 +29,9 @@ def test_generator_conjugation_oracle():
 
 
 def test_generators_reject_nonprime():
-    with pytest.raises(ValueError):
-        st.clifford_generators(4)
+    for d in (0, 1, 4):
+        with pytest.raises(ValueError, match="prime"):
+            st.clifford_generators(d)
 
 
 def test_vertex_counts(qutrit_vertices, qubit_vertices):
@@ -317,7 +318,7 @@ def test_stabilizer_solve_sweep_budget(d, kind):
     # sweep-count regression guard for the certificate: 1,000 states all
     # certify within 300 sweeps (the slowest take 170, 140, 110 and 50)
     rng = np.random.default_rng(2024)
-    rhos = np.concatenate([linalg.ginibre_dm_batch(500, d, d, rng), linalg.haar_pure_batch(500, d, rng)])
+    rhos = np.concatenate([linalg.ginibre_dm_batch(500, d, rng), linalg.haar_pure_batch(500, d, rng)])
     verts = st.stabilizer_pure_states(d).projectors if kind == "stabilizer" else st.basis_projectors(d)
     _, _, iters, certified = st.polytope_distance_batch(rhos, verts)
     assert certified.all()
@@ -332,7 +333,7 @@ def test_early_brackets_change_only_when_a_state_stops(qutrit_vertices, kind):
     # every other state must iterate bit for bit as in the plain solve
     verts = qutrit_vertices.projectors if kind == "stabilizer" else st.basis_projectors(3)
     rng = np.random.default_rng(909)
-    rhos = np.concatenate([linalg.maximally_mixed(3)[None], linalg.ginibre_dm_batch(100, 3, 3, rng),
+    rhos = np.concatenate([linalg.maximally_mixed(3)[None], linalg.ginibre_dm_batch(100, 3, rng),
                            linalg.haar_pure_batch(100, 3, rng)])
     never = lambda bounds: np.zeros(len(bounds), dtype=bool)  # noqa: E731
     early, w_early, it_early, ok_early = st.solve_decided([(rhos, verts)], never)[0]
@@ -367,7 +368,7 @@ def _solver_digests(monkeypatch):
     out = {}
     for d, kind in itertools.product((2, 3), ("stabilizer", "basis")):
         rng = np.random.default_rng(1717)
-        rhos = np.concatenate([linalg.haar_pure_batch(60, d, rng), linalg.ginibre_dm_batch(60, d, d, rng)])
+        rhos = np.concatenate([linalg.haar_pure_batch(60, d, rng), linalg.ginibre_dm_batch(60, d, rng)])
         verts = st.stabilizer_pure_states(d).projectors if kind == "stabilizer" else st.basis_projectors(d)
         out[f"stack_{kind}_{d}"] = _solver_digest([st.polytope_distance_batch(rhos, verts)])
     verts = st.stabilizer_pure_states(3).projectors
@@ -560,19 +561,18 @@ def _facet_min(rho):
 
 
 def test_in_polytope_tol_is_a_facet_slack(qutrit_vertices):
-    # tol shifts the facet threshold: exterior states with facet minimum m are
-    # members exactly when 1 - tol <= m
+    # in_polytope_batch's tol shifts the facet threshold: exterior states with
+    # facet minimum m are members exactly when 1 - tol <= m
     exterior = [rho for rho in random_qutrit_batch(12, seed=37) if _facet_min(rho) < 1.0 - 1e-6]
     assert len(exterior) >= 6
     for rho in exterior:
         slack = 1.0 - _facet_min(rho)
-        assert st.in_polytope(rho, tol=slack + 1e-9) is True
-        assert st.in_polytope(rho, tol=slack - 1e-9) is False
+        assert st.in_polytope_batch(rho, slack + 1e-9)
+        assert not st.in_polytope_batch(rho, slack - 1e-9)
+        # in_polytope answers with the default slack, 1e-7, below every slack here
+        assert st.in_polytope(rho) is False
         # a facet slack s puts rho at trace distance >= s / sqrt(5)
         assert st.polytope_distance(rho, qutrit_vertices).lower >= slack / np.sqrt(5) - 1e-8
-    for tol in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite tol"):
-            st.in_polytope(rho, tol=tol)
     with pytest.raises(ValueError, match=r"d in \{2, 3\}, got 4"):
         st.in_polytope(np.eye(4) / 4)
     with pytest.raises(TypeError):
@@ -619,7 +619,7 @@ def test_membership_agrees_with_lp_oracle(qutrit_vertices):
     # which cross the boundary
     for d in (2, 3):
         vset = st.stabilizer_pure_states(d)
-        rhos = np.concatenate([linalg.ginibre_dm_batch(30, d, d, rng), linalg.haar_pure_batch(30, d, rng)])
+        rhos = np.concatenate([linalg.ginibre_dm_batch(30, d, rng), linalg.haar_pure_batch(30, d, rng)])
         t = rng.uniform(size=(len(rhos), 1, 1))
         rhos = np.concatenate([rhos, (1 - t) * rhos + t * np.eye(d) / d])
         verdicts = [st.in_polytope(rho) for rho in rhos]
