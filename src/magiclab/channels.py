@@ -93,17 +93,22 @@ def _summed_images(kraus, rhos):
     return np.einsum("nkab,mbc,nkdc->nmad", kraus, rhos, kraus.conj(), optimize=True)
 
 
-def apply(channel, rho):
-    """sum_i K_i rho K_i^dag."""
+def _outcomes(channel, rho):
+    """K_i rho K_i^dag, (k, d_out, d_out), for a valid rho of the channel's input dimension."""
     rho = validate_density_matrix(rho)
     if rho.shape[0] != channel.dim_in:
         raise ValueError(f"channel expects dimension {channel.dim_in}, state has {rho.shape[0]}")
-    return _images(channel.kraus, rho).sum(axis=0)
+    return _images(channel.kraus, rho)
+
+
+def apply(channel, rho):
+    """sum_i K_i rho K_i^dag."""
+    return _outcomes(channel, rho).sum(axis=0)
 
 
 def selective_outcomes(channel, rho):
     """[(p_i, K_i rho K_i^dag / p_i)] for outcomes with p_i above PROB_FLOOR."""
-    out = _images(channel.kraus, validate_density_matrix(rho))
+    out = _outcomes(channel, rho)
     p = np.einsum("kii->k", out).real
     keep = p > PROB_FLOOR
     return list(zip(p[keep].tolist(), out[keep] / p[keep, None, None]))
@@ -290,7 +295,7 @@ def _incoherent_outcomes(n_trials, rng):
     return rhos, outcomes
 
 
-def result1_audit(n_trials=10000, seed=0, tol=1e-8):
+def result1_audit(n_trials, seed, tol=1e-8):
     """Magic after a random incoherent channel vs initial coherence:
     distance_magic(channel(rho)) <= incoherent_distance(rho) + tol, decided on
     the conservative side of both certified brackets (magic upper bound minus
@@ -332,7 +337,7 @@ def result1_audit(n_trials=10000, seed=0, tol=1e-8):
                                 "sweeps_max": int(np.max(sweeps))})
 
 
-def lp_monotonicity_audit(n_trials=1000, seed=0):
+def lp_monotonicity_audit(n_trials, seed):
     """l_p monotonicity under the incoherent stabilizer protocol pieces, for
     p in 1, 1.5, 2 and 3.
 
@@ -371,7 +376,7 @@ def lp_monotonicity_audit(n_trials=1000, seed=0):
                        details={"tolerance": MONOTONE_TOL, "worst_leg": worst_leg})
 
 
-def selective_audit(n_trials=1000, seed=0):
+def selective_audit(n_trials, seed):
     """Strong monotonicity of l1 under selective incoherent measurement:
     sum_i p_i C_l1(outcome_i) <= C_l1(rho) + MONOTONE_TOL, over the outcomes
     with p_i above PROB_FLOOR. Since l1 is absolutely homogeneous,
@@ -385,7 +390,7 @@ def selective_audit(n_trials=1000, seed=0):
                        worst_margin=worst, details={"tolerance": MONOTONE_TOL})
 
 
-def gso_audit(n_trials=10000, seed=0):
+def gso_audit(n_trials, seed):
     """No non-identity channel fixes the whole qubit vertex set; plus the
     deterministic core: a matrix diagonal in both the computational and the
     Fourier basis is a multiple of the identity (checked as a rank-1 kernel).
@@ -417,7 +422,7 @@ def gso_audit(n_trials=10000, seed=0):
                        details={"non_identity_fixers": fixers, "diag_both_bases_kernel_dim": kernel_dim})
 
 
-def cw_contractivity_audit(n_trials=200, seed=0):
+def cw_contractivity_audit(n_trials, seed):
     """C_w does not increase, beyond CW_SLACK, under generic (full-environment)
     CPTP channels.
 

@@ -21,7 +21,7 @@ def _load_dm(path):
 
 
 def _build_config(args):
-    overrides = {key: getattr(args, key, None) for key in ("seed", "samples", "outdir", "tolerance")}
+    overrides = {key: getattr(args, key, None) for key in ("seed", "samples", "outdir")}
     return ExperimentConfig.from_file(args.config, **overrides)
 
 
@@ -124,7 +124,6 @@ def build_parser():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--seed", type=int)
         p.add_argument("--config")
-        p.add_argument("--tol", dest="tolerance", type=float)
         if name != "sweep":
             p.add_argument("--samples", type=int)
         if name == "run-all":

@@ -103,10 +103,9 @@ def norrell_state():
     return np.array([-1.0, 2.0, -1.0], dtype=complex) / np.sqrt(6.0)
 
 
-def maximally_coherent_state(d=3):
-    """(|0> - |1> + |2> - ...)/sqrt(d), the alternating-sign uniform superposition."""
-    signs = np.array([(-1.0) ** i for i in range(d)])
-    return signs.astype(complex) / np.sqrt(d)
+def maximally_coherent_state():
+    """The qutrit (1, -1, 1)/sqrt(3), an alternating-sign uniform superposition."""
+    return np.array([1.0, -1.0, 1.0], dtype=complex) / np.sqrt(3.0)
 
 
 # ---------------------------------------------------------------------------

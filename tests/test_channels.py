@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,10 @@ def test_kraus_rejects_non_finite_entries(bad):
 @pytest.mark.parametrize("call, match", [
     (lambda: ch.KrausChannel(kraus=np.eye(3)), r"\(k, d_out, d_in\) stack, got shape \(3, 3\)"),
     (lambda: ch.estimate_cm(np.eye(3) / 3, -1), "n_trials >= 0, got -1"),
-], ids=["kraus_matrix", "estimate_cm_negative_trials"])
+    (lambda: ch.apply(ch.identity_channel(2), np.eye(3) / 3), "channel expects dimension 2, state has 3"),
+    (lambda: ch.selective_outcomes(ch.identity_channel(2), np.eye(3) / 3),
+     "channel expects dimension 2, state has 3"),
+], ids=["kraus_matrix", "estimate_cm_negative_trials", "apply_dimension", "selective_dimension"])
 def test_boundary_checks_name_the_violation(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -406,6 +411,14 @@ def test_facet_verdict_matches_the_solver_rule(qutrit_vertices):
 def test_audits_reject_no_trials(audit, n_trials):
     with pytest.raises(ValueError, match="at least one trial"):
         ch.AUDIT_SUITES[audit](n_trials=n_trials, seed=0)
+
+
+@pytest.mark.parametrize("audit", [*ch.AUDIT_SUITES.values(), ch.cw_contractivity_audit],
+                         ids=[*ch.AUDIT_SUITES, "cw_contractivity"])
+def test_audits_take_their_trials_and_seed_from_the_caller(audit):
+    # the trial counts and seeds are stated once, by ExperimentConfig and the audit command
+    params = inspect.signature(audit).parameters
+    assert all(params[name].default is inspect.Parameter.empty for name in ("n_trials", "seed"))
 
 
 def test_lp_audit_small():

@@ -183,11 +183,24 @@ def test_run_all_dead_worker_is_an_error_and_the_next_run_recovers(tmp_path, cap
     assert experiments._pool not in (None, pool)
 
 
-@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "inf"]])
-def test_run_all_rejects_non_finite_tolerance(tmp_path, flags):
-    res = run_cli("run-all", *flags, "--out", str(tmp_path / "out"))
+@pytest.mark.parametrize("command", [*experiments.EXPERIMENTS, "run-all"])
+def test_experiment_commands_take_no_tol_flag(tmp_path, command, capsys):
+    # the checks' slack is fixed; --tol is a usage error, and nothing runs
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--tol", "1e-9", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["p_start", "p_stop", "tolerance"])
+def test_run_all_rejects_the_removed_grid_and_tolerance_keys(tmp_path, key):
+    # the sweep always spans [0, 1] and the checks' slack is fixed
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key}=0.5\n")
+    res = run_cli("run-all", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert res.returncode == 1
-    assert res.stderr.startswith("error:") and "tolerance" in res.stderr
+    assert res.stderr == f"error: unknown config key: {key}\n"
     assert res.stdout == ""
     assert not (tmp_path / "out").exists()
 
@@ -205,7 +218,7 @@ def test_run_all_rejects_the_removed_rank_key(tmp_path):
 
 @pytest.mark.parametrize("text, words", [
     ("seed=3\nsamples\n", ("line 2", "samples")),
-    ("tolerance=abc\n", ("tolerance", "float")),
+    ("p_step=abc\n", ("p_step", "float")),
     ("samples=1.5\n", ("samples", "int")),
 ], ids=["no_equals", "float", "int"])
 def test_config_file_errors_name_the_key(tmp_path, text, words):
@@ -218,7 +231,7 @@ def test_config_file_errors_name_the_key(tmp_path, text, words):
     assert res.stdout == ""
 
 
-@pytest.mark.parametrize("grid", ["", "p_start=0.7\n"], ids=["default_grid", "p_start_0.7"])
+@pytest.mark.parametrize("grid", ["", "p_step=2\n"], ids=["default_grid", "one_point_grid"])
 def test_experiment_commands_print_run_alls_checks(tmp_path, grid):
     # each command judges its result exactly as run-all does, on the same config
     cfg = tmp_path / "cfg.txt"
@@ -239,7 +252,7 @@ def test_experiment_commands_print_run_alls_checks(tmp_path, grid):
         assert out.read_bytes() == (tmp_path / "all" / name).read_bytes()
     assert printed == [line for line in run_all.splitlines()
                        if not line.startswith(("PASS audit_", "FAIL audit_", "overall="))]
-    # p_start=0.7 leaves the Norrell white-noise kink at 0.6 off the grid
+    # the one-point grid p = 0 holds none of the three reference kinks
     assert (results["sweep"].returncode == 1) == bool(grid)
     assert ("FAIL sweep_kinks" in results["sweep"].stdout) == bool(grid)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import os
@@ -23,27 +24,32 @@ def small_cfg(**kw):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ex.ExperimentConfig(p_start=0.5, p_stop=0.2)
-    with pytest.raises(ValueError):
         ex.ExperimentConfig(samples=0)
-    with pytest.raises(ValueError):
-        ex.ExperimentConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(p_step=-0.1)
     for key in ("result1_trials", "lp_trials", "selective_trials", "gso_trials"):
         with pytest.raises(ValueError, match=key):
             ex.ExperimentConfig(**{key: 0})
     for value in (np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError, match="tolerance"):
-            ex.ExperimentConfig(tolerance=value)
         with pytest.raises(ValueError, match="p_step"):
             ex.ExperimentConfig(p_step=value)
 
 
-def test_p_grid_stops_at_p_stop():
-    # a step that does not divide the range stops short of p_stop instead of passing it
+def test_config_fields_are_what_a_command_sets():
+    # the checks' slack is a class constant, not a field or a config key
+    assert [f.name for f in dataclasses.fields(ex.ExperimentConfig)] == [
+        "seed", "samples", "p_step", "outdir",
+        "result1_trials", "lp_trials", "selective_trials", "gso_trials"]
+    assert ex.ExperimentConfig().tolerance == 1e-9
+    with pytest.raises(TypeError):
+        ex.ExperimentConfig(tolerance=1e-3)
+
+
+def test_p_grid_stops_at_1():
+    # a step that does not divide [0, 1] stops short of 1 instead of passing it
     assert ex.ExperimentConfig(p_step=0.6).p_grid().tolist() == [0.0, 0.6]
-    assert ex.ExperimentConfig(p_start=0.1, p_stop=0.3, p_step=0.1).p_grid().size == 3
+    grid = ex.ExperimentConfig(p_step=0.07).p_grid()
+    assert grid.size == 15 and grid[-1] == pytest.approx(0.98, abs=1e-12)
     # the default grid keeps its 101 points, bit for bit
     assert np.array_equal(ex.ExperimentConfig().p_grid(), 0.0 + 0.01 * np.arange(101))
 
@@ -98,10 +104,10 @@ def test_sweep_finds_kinks_in_the_upper_half_of_a_cell(p_step, strange_white):
 
 
 def test_sweep_reports_no_kink_that_is_off_its_grid():
-    # p_start=0.7 leaves the kinks at 0.6 off the grid: one branch fits every point
-    cfg = small_cfg(p_start=0.7)
+    # a one-point grid, p = 0 alone, holds no kink: one branch fits every point
+    cfg = small_cfg(p_step=2)
     data = ex.noise_sweep(cfg)
-    assert data.kinks == {"strange_white": pytest.approx(0.75, abs=1e-12)}
+    assert data.table.shape == (1, 9) and data.kinks == {}
     assert [(name, ok) for name, ok, _ in data.checks(cfg)] == [("sweep_residual", True),
                                                                 ("sweep_kinks", False)]
 
@@ -299,9 +305,11 @@ def test_entanglement_scatter_holds_one_state_stack():
     assert peak <= 2 * n * 36 * np.dtype(complex).itemsize
 
 
-def test_run_all_negative_control(tmp_path):
-    # machine-precision residuals cannot satisfy an absurd 1e-20 tolerance
-    report = ex.run_all(small_cfg(tolerance=1e-20, outdir=str(tmp_path)))
+def test_run_all_negative_control(tmp_path, monkeypatch):
+    # machine-precision residuals cannot satisfy an absurd 1e-20 tolerance;
+    # the autouse fixture forks the pool after the patch, so the workers see it
+    monkeypatch.setattr(ex.ExperimentConfig, "tolerance", 1e-20)
+    report = ex.run_all(small_cfg(outdir=str(tmp_path)))
     assert not report.passed
     failed = [name for name, ok, _ in report.checks if not ok]
     assert "sweep_residual" in failed

@@ -19,6 +19,14 @@ def test_dm_from_pure_strange_entries():
     assert abs(rho[0, 0]) < 1e-14 and abs(rho[0, 1]) < 1e-14
 
 
+def test_maximally_coherent_state_is_the_alternating_qutrit():
+    # the literal keeps the bits of the (-1)^i / sqrt(d) form at d = 3
+    signs = np.array([(-1.0) ** i for i in range(3)])
+    assert np.array_equal(linalg.maximally_coherent_state(), signs.astype(complex) / np.sqrt(3))
+    with pytest.raises(TypeError):
+        linalg.maximally_coherent_state(3)
+
+
 def test_dm_from_pure_coherent_entries():
     psi = linalg.maximally_coherent_state()
     rho = linalg.dm_from_pure(psi)
