@@ -45,6 +45,9 @@ def derived_rng(seed, experiment):
     return np.random.default_rng((int(seed) + STREAM_OFFSETS[experiment]) % 2 ** 64)
 
 
+MAX_GRID_POINTS = 10**6  # the sweep grid's largest size
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs for the experiment runner; flat key=value files map onto fields."""
@@ -61,15 +64,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.p_step < np.inf:
             raise ValueError(f"p_step must be positive and finite, got {self.p_step}")
+        if self._grid_size() > MAX_GRID_POINTS:  # inf for a subnormal step
+            raise ValueError(f"p_step={self.p_step} gives a sweep grid of more than {MAX_GRID_POINTS} points")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         for suite in channels.AUDIT_SUITES:
             if getattr(self, f"{suite}_trials") < 1:
                 raise ValueError(f"{suite}_trials must be >= 1")
 
+    def _grid_size(self):
+        return np.floor(1.0 / self.p_step + 1e-9) + 1  # from 0 up to 1, never past it
+
     def p_grid(self):
-        n = int(np.floor(1.0 / self.p_step + 1e-9))  # from 0 up to 1, never past it
-        return self.p_step * np.arange(n + 1)
+        return self.p_step * np.arange(int(self._grid_size()))
 
     @classmethod
     def from_file(cls, path=None, **overrides):

@@ -94,10 +94,12 @@ def wigner(rho):
 def wigner_batch(rhos, d):
     """Wigner grids for a stack of density matrices, shape (n, d, d) -> (n, d, d).
 
-    No per-state validation; used by the Monte-Carlo experiments.
+    No per-state validation; used by the Monte-Carlo experiments. A one-state
+    stack is evaluated as two rows, since einsum rounds differently at n = 1:
+    so a state's grid has the same bits alone as in any stack that holds it.
     """
-    ops = phase_point_ops(d)
-    return np.einsum("nij,pqji->npq", rhos, ops).real / d
+    stack = np.concatenate([rhos, rhos]) if len(rhos) == 1 else rhos
+    return np.einsum("nij,pqji->npq", stack, phase_point_ops(d))[:len(rhos)].real / d
 
 
 def qutrit_closed_form(rho):

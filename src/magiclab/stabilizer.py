@@ -47,6 +47,24 @@ exact line search stalls here: the steepest-descent vertex computed from a
 subgradient need not be a descent direction at the eigenvalue crossings
 where the optimum sits.)
 
+ADMM's rate is linear, but a qutrit's optimal support is mostly final by
+the first read. So at each read a plain solve (one with no rule) polishes
+its open states, as OSQP polishes its ADMM solutions (Stellato et al.,
+Math. Prog. Comp. 12, 637, 2020): with the support S = {w_i > 1e-7} fixed,
+a few Newton steps solve the optimality conditions on the smooth manifold
+of that structure (the U-Newton step of Mifflin & Sagastizabal, Math.
+Program. 104, 583, 2005), first for a residual with a 1-d kernel, where
+X = (P+ - P-)/2 + c ee^dag, then for one with none, where X = sign/2. The
+sign witness with a free c on the kernel is an optimal dual whenever the
+residual's kernel is at most 1-d, so at the polished weights the bracket
+closes to rounding. The polished weights are kept only if they are
+feasible, lower no upper bound and close the bracket against that X with
+c clipped into the ball; else ADMM goes on untouched. On Haar and Ginibre
+qutrits this takes the sweeps to certify from 30 at p50 to 10, the first
+read, on both vertex sets. A solve with a rule is not polished: its states
+mostly stop by the rule at sweeps 1 and 2, and its iterates, and so the
+audit's bits, stay those of plain ADMM.
+
 `incoherent_distance` and `monotones.distance_magic` solve only the states
 with no exact value. For diagonal sigma, rho - sigma is traceless with
 eigenvalues +-sqrt(x^2 + |rho_01|^2), so a qubit's incoherent distance is
@@ -263,6 +281,115 @@ _EARLY_BRACKETS = (1, 2)
 # FISTA's momentum (t_k - 1)/t_{k+1} per step, t_1 = 1, t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2
 _T = tuple(accumulate(range(_INNER_STEPS), lambda t, _: (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0, initial=1.0))
 _MOMENTA = tuple((t - 1.0) / t_next for t, t_next in zip(_T, _T[1:]))
+_SUPPORT_CUT = 1e-7  # a plain solve's polish fixes the support {w_i > _SUPPORT_CUT}
+_POLISH_STEPS = 4    # Newton steps per assumed residual structure
+
+
+def _newton(rhos, verts, w, support, kernel):
+    """`_POLISH_STEPS` Newton steps on the KKT system of a fixed support S and
+    residual structure, for a stack of states at once.
+
+    With Delta = rho - Vw = U diag(lam) U^dag and X = U diag(g) U^dag,
+    g = sign(lam)/2, the unknowns are w, mu and, if `kernel`, the
+    coefficient c = g_k of the eigenvalue lam_k nearest 0. The equations are
+    tr(X v_i) = mu for i in S, sum(w) = 1 and, if `kernel`, lam_k = 0; the
+    weights off S are held at 0 by identity rows. The Jacobian is analytic
+    (Daleckii-Krein): with A_j = U^dag v_j U, a move dw turns X by
+    dX_ab = -sum_j dw_j A_j,ab (g_b - g_a)/(lam_b - lam_a) in U's basis and
+    moves lam_k by -sum_j dw_j A_j,kk. An exactly singular system takes its
+    least-squares step. A state whose system or step is not finite stops
+    moving and is marked failed. Returns (weights, c, failed).
+    """
+    n, d = rhos.shape[:2]
+    m = len(verts)
+    vflat = verts.reshape(m, d * d)
+    on = support.astype(float)
+    rows = np.arange(n)
+    jac = np.zeros((n, m + 2, m + 2))
+    jac[:, np.arange(m), np.arange(m)] = 1.0 - on
+    jac[:, :m, m] = -on
+    jac[:, m, :m] = 1.0
+    jac[:, m + 1, m + 1] = 0.0 if kernel else 1.0
+    ident = jac[:, :m, :m].copy()
+    res = np.zeros((n, m + 2))
+    mu, c = np.zeros(n), np.zeros(n)
+    failed = np.zeros(n, dtype=bool)
+    for step in range(_POLISH_STEPS):
+        lam, u = np.linalg.eigh(rhos - (w @ vflat).reshape(n, d, d))
+        if step == 0:
+            k = np.argmin(np.abs(lam), axis=1)
+        g = 0.5 * np.sign(lam)
+        if kernel:
+            g[rows, k] = c
+        # a[n, (a, b), j] = (U^dag v_j U)_ab, zero off S, from one gemm over all states
+        outer = (u.conj()[:, :, :, None, None] * u[:, None, None]).transpose(0, 2, 4, 1, 3)
+        a = (outer.reshape(n * d * d, d * d) @ vflat.T).reshape(n, d * d, m) * on[:, None, :]
+        gap_g, gap_lam = g[:, None, :] - g[:, :, None], lam[:, None, :] - lam[:, :, None]
+        dd = np.divide(gap_g, gap_lam, out=np.zeros_like(gap_lam), where=(gap_g != 0.0) & (gap_lam != 0.0))
+        jac[:, :m, :m] = ident - (a.conj().transpose(0, 2, 1) @ (a * dd.reshape(n, d * d, 1))).real
+        diag = a[:, ::d + 1].real  # (n, d, m): the diagonals (U^dag v_j U)_aa
+        res[:, :m] = np.where(support, (g[:, None, :] @ diag)[:, 0] - mu[:, None], w)
+        res[:, m] = w.sum(axis=1) - 1.0
+        if kernel:
+            jac[:, :m, m + 1] = diag[rows, k]
+            jac[:, m + 1, :m] = -diag[rows, k]
+            res[:, m + 1] = lam[rows, k]
+        bad = ~np.isfinite(jac.sum(axis=(1, 2)) + res.sum(axis=1))
+        jac[bad], res[bad] = np.eye(m + 2), 0.0
+        try:
+            move = np.linalg.solve(jac, res[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # det is 0 exactly where the LU meets a zero pivot
+            singular = np.linalg.det(jac) == 0.0
+            move = np.zeros_like(res)
+            move[~singular] = np.linalg.solve(jac[~singular], res[~singular, :, None])[..., 0]
+            move[singular] = (np.linalg.pinv(jac[singular]) @ res[singular, :, None])[..., 0]
+        failed |= bad | ~np.isfinite(move).all(axis=1)
+        move[failed] = 0.0
+        w = w - move[:, :m]
+        mu = mu - move[:, m]
+        c = c - move[:, m + 1]
+    return w, c, failed
+
+
+def _polish(rhos, verts, vdual, w, bounds, tol):
+    """Newton-polished weights for the states of a plain solve whose bracket
+    is open, kept only where they certify.
+
+    Each state's support is S = {w_i > _SUPPORT_CUT}. Its residual is first
+    assumed to have a 1-d kernel, then, where that fails, none
+    (:func:`_newton`). Polished weights pass only if they are feasible
+    (w >= -1e-12, then clipped and renormalised), their upper bound is no
+    higher than `bounds`' and the bracket closes to `tol` against
+    :func:`_dual_bound` at X, with c clipped to [-1/2, 1/2]: that X lies in
+    the ball, so an accepted bracket is sound whatever the Newton steps did.
+    Returns (accepted, weights, bounds) for the accepted states.
+    """
+    n, m = w.shape
+    accepted = np.zeros(n, dtype=bool)
+    w_out, b_out = np.zeros((n, m)), np.zeros((n, 2))
+    support = w > _SUPPORT_CUT
+    start = np.where(support, w, 0.0)
+    start /= start.sum(axis=1, keepdims=True)
+    for kernel in (True, False):
+        todo = np.flatnonzero(~accepted)
+        if len(todo) == 0:
+            break
+        wp, c, failed = _newton(rhos[todo], verts, start[todo], support[todo], kernel)
+        keep = ~failed & (wp.min(axis=1) >= -1e-12)
+        todo, wp, c = todo[keep], np.maximum(wp[keep], 0.0), c[keep]
+        if len(todo) == 0:
+            continue
+        wp /= wp.sum(axis=1, keepdims=True)
+        lam, u = np.linalg.eigh(rhos[todo] - (wp @ verts.reshape(m, -1)).reshape(-1, *rhos.shape[1:]))
+        upper = 0.5 * np.abs(lam).sum(axis=1)
+        g = 0.5 * np.sign(lam)
+        if kernel:
+            g[np.arange(len(todo)), np.argmin(np.abs(lam), axis=1)] = np.clip(c, -0.5, 0.5)
+        lower = np.maximum(_dual_bound(rhos[todo], u, g, vdual), bounds[todo, 0])
+        ok = (upper <= bounds[todo, 1]) & (upper - lower <= tol)
+        accepted[todo[ok]] = True
+        w_out[todo[ok]], b_out[todo[ok]] = wp[ok], np.stack([lower[ok], upper[ok]], axis=1)
+    return accepted, w_out[accepted], b_out[accepted]
 
 
 def _admm(rhos, vertices, tol, max_iter, decisive):
@@ -279,9 +406,11 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
     stop. The penalty tau keeps its 10-sweep schedule, so an extra read
     changes only when a state stops, never its iterates; a plain solve
     skips them, since a read costs 1 to 2.4 sweeps on qutrits and a state
-    needs tens of sweeps to certify. The active states' iterates stay
-    compacted between reads, where the set shrinks and the weights and
-    sweep counts are written back.
+    needs tens of sweeps to certify. At each read a plain solve also tries
+    :func:`_polish` on its open states; a state whose polish is accepted
+    stops there, certified, with the polished weights. The active states'
+    iterates stay compacted between reads, where the set shrinks and the
+    weights and sweep counts are written back.
     """
     rhos = np.ascontiguousarray(rhos, dtype=complex)
     verts = np.asarray(vertices, dtype=complex)
@@ -340,6 +469,11 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
                 rp = np.abs(resid).max(axis=(1, 2), keepdims=True)
                 ta = np.where(rp > 1e-7, ta * 1.5, ta)
             done = upper - lower <= tol
+            if not decisive and not done.all():
+                left = np.flatnonzero(~done)
+                polished, wp, bp = _polish(ra[left], verts, vdual, wa[left], bounds[active[left]], tol)
+                left = left[polished]
+                w[active[left]], bounds[active[left]], done[left] = wp, bp, True
             certified[active[done]] = True
             keep = ~done
             decided = yield bounds

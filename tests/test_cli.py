@@ -153,6 +153,18 @@ def test_unallocatable_sizes_are_an_error(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_grid_too_large_to_build(tmp_path):
+    # 1 / 5e-324 overflows to inf, and 1e-7 asks for 10^7 + 1 points
+    cfg, out = tmp_path / "c.cfg", tmp_path / "sweep.csv"
+    for step in ("5e-324", "1e-7"):
+        cfg.write_text(f"p_step={step}\n")
+        res = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "p_step" in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+    assert not out.exists()
+
+
 def test_run_all_rejects_zero_trials_in_config(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("lp_trials=0\n")

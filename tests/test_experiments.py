@@ -30,9 +30,10 @@ def test_config_validation():
     for key in ("result1_trials", "lp_trials", "selective_trials", "gso_trials"):
         with pytest.raises(ValueError, match=key):
             ex.ExperimentConfig(**{key: 0})
-    for value in (np.inf, -np.inf, np.nan):
+    for value in (np.inf, -np.inf, np.nan, 5e-324, 1e-7):
         with pytest.raises(ValueError, match="p_step"):
             ex.ExperimentConfig(p_step=value)
+    assert len(ex.ExperimentConfig(p_step=2e-6).p_grid()) == 500_001
 
 
 def test_config_fields_are_what_a_command_sets():

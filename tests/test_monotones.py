@@ -364,13 +364,15 @@ def test_estimate_cm_matches_full_solve():
 def test_estimate_cm_is_a_certified_lower_bound():
     # incoherent Clifford unitaries are polytope symmetries, so without
     # sampled channels every image has rho's distance: a lower bound on the
-    # supremum may not exceed rho's own upper bound
+    # supremum may not exceed rho's own upper bound. The two lower bounds
+    # come from different solves (plain and rule-driven), each certified to
+    # within tol = 1e-9 of the same distance, so they agree to within tol
     rng = np.random.default_rng(54)
     for _ in range(5):
         rho = linalg.random_mixed(3, seed=rng)
         res = st.polytope_distance(rho, st.stabilizer_pure_states(3))
         est = channels.estimate_cm(rho, 0, seed=rng)
-        assert res.lower <= est <= res.distance
+        assert res.lower - 1e-9 <= est <= res.distance
 
 
 def test_all_monotones_match_the_single_functions(named_states):

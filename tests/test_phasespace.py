@@ -108,6 +108,17 @@ def test_wigner_normalization_and_marginals():
             assert abs(sums.sum() - 1) < 1e-10
 
 
+def test_one_state_grids_match_the_stack_bit_for_bit():
+    # einsum rounds a one-state stack its own way, so wigner_batch evaluates
+    # it as two rows: a state's grid is the same alone as inside any stack
+    rhos = linalg.ginibre_dm_batch(300, 3, np.random.default_rng(5))
+    full = ps.wigner_batch(rhos, 3)
+    for size in (1, 2, 3, 64):
+        parts = [ps.wigner_batch(rhos[i:i + size], 3) for i in range(0, len(rhos), size)]
+        assert np.array_equal(np.concatenate(parts), full)
+    assert all(np.array_equal(ps.wigner(rho), grid) for rho, grid in zip(rhos[:20], full))
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=hst.sampled_from([3, 5]), data=hst.data())
 def test_wigner_grid_sums_to_one_with_nonnegative_line_sums(d, data):

@@ -316,7 +316,8 @@ def test_polytope_distance_random_vs_slsqp(qutrit_vertices):
 @pytest.mark.parametrize("d, kind", [(3, "stabilizer"), (3, "basis"), (2, "stabilizer"), (2, "basis")])
 def test_stabilizer_solve_sweep_budget(d, kind):
     # sweep-count regression guard for the certificate: 1,000 states all
-    # certify within 300 sweeps (the slowest take 170, 140, 110 and 50)
+    # certify within 300 sweeps (the slowest take 140, 20, 110 and 40; 170,
+    # 140, 110 and 50 without the plain solves' polish)
     rng = np.random.default_rng(2024)
     rhos = np.concatenate([linalg.ginibre_dm_batch(500, d, rng), linalg.haar_pure_batch(500, d, rng)])
     verts = st.stabilizer_pure_states(d).projectors if kind == "stabilizer" else st.basis_projectors(d)
@@ -325,12 +326,19 @@ def test_stabilizer_solve_sweep_budget(d, kind):
     assert iters.max() <= 300
 
 
+def _accept_no_polish(rhos, verts, vdual, w, bounds, tol):
+    """A stand-in for `stabilizer._polish` that accepts no polished weights."""
+    return np.zeros(len(rhos), dtype=bool), w[:0], bounds[:0]
+
+
 @pytest.mark.parametrize("kind", ["stabilizer", "basis"])
-def test_early_brackets_change_only_when_a_state_stops(qutrit_vertices, kind):
+def test_early_brackets_change_only_when_a_state_stops(monkeypatch, qutrit_vertices, kind):
     # a solve with a decide rule also reads its brackets at sweeps 1 and 2;
     # with a rule that never fires, only certification can stop a state there
     # (the maximally mixed state, at the centre of both polytopes, does), and
-    # every other state must iterate bit for bit as in the plain solve
+    # every other state must iterate bit for bit as in the plain solve, once
+    # the plain solve's polish is off (a rule-driven solve is never polished)
+    monkeypatch.setattr(st, "_polish", _accept_no_polish)
     verts = qutrit_vertices.projectors if kind == "stabilizer" else st.basis_projectors(3)
     rng = np.random.default_rng(909)
     rhos = np.concatenate([linalg.maximally_mixed(3)[None], linalg.ginibre_dm_batch(100, 3, rng),
@@ -352,6 +360,42 @@ def test_early_brackets_change_only_when_a_state_stops(qutrit_vertices, kind):
     assert np.all(iters % 10 == 0)
     _, _, iters, certified = st.polytope_distance_batch(rhos, verts, max_iter=25)
     assert np.all((iters % 10 == 0) | (iters == 25)) and not certified.all()
+
+
+@pytest.mark.parametrize("d, kind", [(3, "stabilizer"), (3, "basis"), (2, "stabilizer"), (2, "basis")])
+def test_polish_stops_no_later_and_agrees_with_admm(monkeypatch, d, kind):
+    # against the same solve with no polish: each state stops at the same
+    # read or an earlier one, is certified wherever it was, keeps its weights
+    # on the simplex, and its certified bracket is closed to tol and overlaps
+    # the other within tol
+    rng = np.random.default_rng(1717)
+    rhos = np.concatenate([linalg.haar_pure_batch(60, d, rng), linalg.ginibre_dm_batch(60, d, rng)])
+    verts = st.stabilizer_pure_states(d).projectors if kind == "stabilizer" else st.basis_projectors(d)
+    bounds, w, iters, certified = st.polytope_distance_batch(rhos, verts)
+    with monkeypatch.context() as patch:
+        patch.setattr(st, "_polish", _accept_no_polish)
+        bounds0, _, iters0, certified0 = st.polytope_distance_batch(rhos, verts)
+    tol = 1e-9
+    assert np.all(iters <= iters0)
+    assert np.all(certified[certified0])
+    assert w.min() >= 0.0 and np.abs(w.sum(axis=1) - 1.0).max() <= 1e-15
+    assert np.all(bounds[certified, 1] - bounds[certified, 0] <= tol)
+    both = certified & certified0
+    assert np.all(bounds[both, 0] <= bounds0[both, 1] + tol)
+    assert np.all(bounds0[both, 0] <= bounds[both, 1] + tol)
+    if d == 3:  # most qutrits certify at the first read
+        assert np.median(iters) == 10 < np.median(iters0)
+
+
+def test_polish_certifies_the_basis_set_tail():
+    # states that ADMM alone leaves uncertified at max_iter = 5000 (gaps
+    # 1.3e-8 at d = 3 and 2.4e-9 to 1.2e-7 at d = 4): the polish certifies
+    # them at the first read. The gate sets are drawn whole for their
+    # streams, and only these rows are solved.
+    for d, haar, ginibre, rows in ((3, 10**4, 10**4, [16121]), (4, 1500, 1500, [1110, 1347, 1533])):
+        rng = np.random.default_rng(123)
+        rhos = np.concatenate([linalg.haar_pure_batch(haar, d, rng), linalg.ginibre_dm_batch(ginibre, d, rng)])
+        assert st.polytope_distance_batch(rhos[rows], st.basis_projectors(d))[3].all()
 
 
 def _solver_digest(results):
@@ -387,19 +431,20 @@ def _solver_digests(monkeypatch):
 
 
 SOLVER_DIGESTS = {
-    "stack_stabilizer_2": "33654f35830b780028c0efedec5846366f2bf9530893c055758e3210d6780444",
-    "stack_basis_2": "7a66bacfdd09f4ab3a64e081cf5d62d828c7d9e7d5e7f3802ca260df3e8133ad",
-    "stack_stabilizer_3": "3c6607c8ff0f6f9aba59c034c3a6cc07179ddfded705e5f087631036832ddcac",
-    "stack_basis_3": "f622bd1f7f4e6efd745d10c5a51fb72429d95d724c01b285a5371c4b01bedbc5",
-    "one_state": "4bf2d0c0d3ed705c178106c182330248e6cd12a6a5fa00911cdc9f9eaa6abcf4",
+    "stack_stabilizer_2": "b77eaa995a99867a1fbc5f6c11889637dc493d6540243f0e2ee203bef168ddc4",
+    "stack_basis_2": "d18d35ce0fbf432047be5cba7edd508e9ad1175be064337dd90e75c4c512e4b3",
+    "stack_stabilizer_3": "0f0f07dd47ba21610371aed2dbb130c15a8bad21544fd0225aae6e1c523de63f",
+    "stack_basis_3": "2233fad0f3c6a9b4ae09e82efdc4f7ce73e1da013f374417395b176b7faf5a61",
+    "one_state": "94353273eaf5ddfe097ace870a3d267c45c6da72900e76b29126c5ac2e55dff7",
     "result1": "a8db1346e1fccc4048f3014ca3c73deefb289bf90ccf411518f36211ecd26ae3",
 }
 
 
 def test_solver_output_bits_are_pinned(monkeypatch):
     # the solver's bracket, weights, sweep counts and certificates are pinned
-    # bit for bit: a rewrite of its inner loop must reach the same iterates
-    # (a different BLAS may round the gemms differently and move these)
+    # bit for bit: a rewrite of its inner loop or of the plain solves' polish
+    # must reach the same iterates (a different BLAS or LAPACK may round the
+    # gemms or the Newton solves differently and move these)
     assert _solver_digests(monkeypatch) == SOLVER_DIGESTS
 
 
