@@ -13,12 +13,13 @@ data = noise_sweep(cfg)
 print(f"{'p':>5} | {'strange+white':>14} {'norrell+white':>14} | "
       f"{'strange+coh':>12} {'norrell+coh':>12}")
 print("-" * 66)
-for p, sw, nw, sc, nc in data.table[:, :5]:
+for p, sw, nw, sc, nc in data.blocks[None][:, :5]:
     print(f"{p:>5.2f} | {sw:>14.6f} {nw:>14.6f} | {sc:>12.6f} {nc:>12.6f}")
 
 print("-" * 66)
 print(f"measured-vs-formula residual: {data.max_abs_residual:.2e}")
-print(f"detected kinks: {data.kinks}")
+kinks = {key.removeprefix("kink_"): val for key, val in data.trailer.items() if key.startswith("kink_")}
+print(f"detected kinks: {kinks}")
 print("""
 The white-noise curves hit zero at p = 3/4 (strange) and p = 3/5 (norrell):
 the strange state is the more robust one there. Under coherent noise neither

@@ -66,7 +66,7 @@ def cmd_stab(args):
 
 
 def _print_report(report):
-    """Print a report's lines (an audit's or a run's checks); exit status 1 unless it passed."""
+    """Print a report's lines (an audit's, a stage's or a run's checks); exit status 1 unless it passed."""
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
@@ -78,11 +78,11 @@ def cmd_audit(args):
 
 def cmd_experiment(args):
     cfg = _build_config(args)
-    data = experiments.EXPERIMENTS[args.command](cfg)
-    out = args.out or os.path.join(cfg.outdir, data.CSV_NAME)  # run_all's location
-    experiments.write_csv(out, data.csv())
+    record = experiments.EXPERIMENTS[args.command](cfg)
+    out = args.out or os.path.join(cfg.outdir, record.csv_name)  # run_all's location
+    experiments.write_csv(out, record.csv())
     print(f"wrote {out}")
-    return _print_report(experiments.RunReport(checks=data.checks(cfg)))
+    return _print_report(record)
 
 
 def cmd_run_all(args):

@@ -10,15 +10,19 @@ produce byte-identical CSV text.
 CSV dialect: comma separator, '.' decimal point, 17 significant digits, one
 header line, '#'-prefixed summary trailer lines.
 
-Results hold column arrays, not row lists: a sweep is one (n, 9) table, and a
-scatter is one (n, k) block per sample kind. :func:`csv_text` is the one
-writer of every CSV.
+Every stage, each experiment and each audit of run_all, returns one
+:class:`StageRecord`: its (name, passed, detail) checks, judged once against
+the config it ran on, its CSV file name, and the arguments of
+:func:`csv_text`, the one writer of every CSV. Records hold column arrays,
+not row lists: a sweep is one (n, 9) table under the label None, a scatter
+one (n, k) block per sample kind, and an audit one row of audits.csv.
 """
 
 import atexit
 import dataclasses
 import os
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -129,6 +133,43 @@ def write_csv(path, text):
         fh.write(text)
 
 
+@dataclass(frozen=True)
+class RunReport:
+    checks: list            # (name, passed, detail) triples
+
+    @property
+    def passed(self):
+        return all(ok for _, ok, _ in self.checks)
+
+    def lines(self):
+        for name, ok, detail in self.checks:
+            yield f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+        yield f"overall={'PASS' if self.passed else 'FAIL'}"
+
+
+@dataclass(frozen=True)
+class StageRecord(RunReport):
+    """One stage's checks, judged when it was built, with its CSV: the file
+    name and the arguments of csv_text. Each trailer value also reads as an
+    attribute, as in `coherence_magic_scatter(cfg).min_slack_pure`."""
+    csv_name: str
+    header: tuple
+    blocks: dict            # label -> (n, k) array of the columns after the label
+    trailer: dict           # '#' line key -> value
+
+    def __getattr__(self, name):
+        # only names that are not fields get here; reading the trailer through
+        # __dict__ lets an unpickled record, whose fields are not set yet, fail
+        # with AttributeError instead of recursing
+        try:
+            return self.__dict__["trailer"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def csv(self):
+        return csv_text(self.header, self.blocks.items(), self.trailer.items())
+
+
 # ---------------------------------------------------------------------------
 # noise sweep
 # ---------------------------------------------------------------------------
@@ -162,28 +203,6 @@ def _detect_kink(p, measured, branch1, branch2):
     return float(p[i + 1] if (rise - rise2) / (rise1 - rise2) > 0.5 else p[i])
 
 
-@dataclass(frozen=True)
-class SweepData:
-    table: np.ndarray       # (grid points, 9), columns in SWEEP_HEADER order
-    max_abs_residual: float
-    kinks: dict
-    CSV_NAME = "sweep.csv"
-
-    def csv(self):
-        trailer = [("max_abs_residual", self.max_abs_residual)]
-        trailer += [(f"kink_{name}", val) for name, val in self.kinks.items()]
-        return csv_text(SWEEP_HEADER, [(None, self.table)], trailer)
-
-    def checks(self, cfg):
-        """(name, passed, detail) triples: the residual is below cfg.tolerance,
-        and every reference kink is found within half a grid step."""
-        kinks_ok = all(abs(self.kinks.get(f"{state}_{noise}", np.inf) - kink) <= cfg.p_step / 2 + 1e-12
-                       for state, noise, *_, kink in SWEEP_CURVES if kink is not None)
-        return [("sweep_residual", self.max_abs_residual < cfg.tolerance,
-                 f"max_abs_residual={self.max_abs_residual:.3e} tol={cfg.tolerance:g}"),
-                ("sweep_kinks", kinks_ok, f"detected={self.kinks}")]
-
-
 def noise_sweep(cfg):
     """Sum negativity of noisy strange/Norrell states on the p grid, with the
     four piecewise reference curves and detected kink locations."""
@@ -203,9 +222,16 @@ def noise_sweep(cfg):
             if found is not None:
                 kinks[f"{state}_{noise}"] = found
     max_resid = max(float(np.max(np.abs(m - r))) for m, r in zip(measured, refs))
-
-    return SweepData(table=np.column_stack((p, *measured, *refs)),
-                     max_abs_residual=max_resid, kinks=kinks)
+    # every reference kink is found within half a grid step
+    kinks_ok = all(abs(kinks.get(f"{state}_{noise}", np.inf) - kink) <= cfg.p_step / 2 + 1e-12
+                   for state, noise, *_, kink in SWEEP_CURVES if kink is not None)
+    return StageRecord(
+        checks=[("sweep_residual", max_resid < cfg.tolerance,
+                 f"max_abs_residual={max_resid:.3e} tol={cfg.tolerance:g}"),
+                ("sweep_kinks", kinks_ok, f"detected={kinks}")],
+        csv_name="sweep.csv", header=SWEEP_HEADER,
+        blocks={None: np.column_stack((p, *measured, *refs))},
+        trailer={"max_abs_residual": max_resid, **{f"kink_{k}": v for k, v in kinks.items()}})
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +240,6 @@ def noise_sweep(cfg):
 
 COH_HEADER = ("kind", "c_l1", "m_sn", "bound", "slack")
 ENT_HEADER = ("kind", "negativity", "m_sn_reduced", "lhs")
-
-
-@dataclass(frozen=True)
-class CoherenceScatterData:
-    blocks: dict            # kind -> (n, 4) array of the COH_HEADER[1:] columns
-    min_slack_pure: float
-    min_slack_mixed: float
-    CSV_NAME = "coherence_scatter.csv"
-
-    def csv(self):
-        return csv_text(COH_HEADER, self.blocks.items(),
-                        [("min_slack_pure", self.min_slack_pure),
-                         ("min_slack_mixed", self.min_slack_mixed)])
-
-    def checks(self, cfg):
-        """The pure-state bound holds within cfg.tolerance, as a one-triple list."""
-        return [("coherence_bound_pure", self.min_slack_pure >= -cfg.tolerance,
-                 f"min_slack_pure={self.min_slack_pure:.3e}")]
 
 
 def coherence_magic_scatter(cfg):
@@ -250,26 +258,12 @@ def coherence_magic_scatter(cfg):
         c1 = l1_coherence_batch(batch)
         bound = (c1 / 2) * np.sqrt(np.clip(1.0 - c1 / 2, 0.0, None))
         blocks[kind] = np.column_stack((c1, msn, bound, msn - bound))
-    slacks = {kind: float(np.min(block[:, 3])) for kind, block in blocks.items()}
-    return CoherenceScatterData(blocks=blocks, min_slack_pure=slacks["pure"],
-                                min_slack_mixed=slacks["mixed"])
-
-
-@dataclass(frozen=True)
-class EntanglementScatterData:
-    blocks: dict            # kind -> (n, 3) array of the ENT_HEADER[1:] columns
-    max_lhs: float
-    max_lhs_pure: float
-    CSV_NAME = "entanglement_scatter.csv"
-
-    def csv(self):
-        return csv_text(ENT_HEADER, self.blocks.items(),
-                        [("max_lhs", self.max_lhs), ("max_lhs_pure", self.max_lhs_pure)])
-
-    def checks(self, cfg):
-        """16 E^2 + 9 M^2 <= 4 holds within cfg.tolerance, as a one-triple list."""
-        return [("entanglement_tradeoff", self.max_lhs <= 4.0 + cfg.tolerance,
-                 f"max_lhs={self.max_lhs:.12f}")]
+    slacks = {f"min_slack_{kind}": float(np.min(block[:, 3])) for kind, block in blocks.items()}
+    pure = slacks["min_slack_pure"]
+    return StageRecord(checks=[("coherence_bound_pure", pure >= -cfg.tolerance,
+                                f"min_slack_pure={pure:.3e}")],
+                       csv_name="coherence_scatter.csv", header=COH_HEADER, blocks=blocks,
+                       trailer=slacks)
 
 
 def entanglement_magic_scatter(cfg):
@@ -288,8 +282,11 @@ def entanglement_magic_scatter(cfg):
         msn = sum_negativity_grid(wigner_batch(partial_trace(batch, (3, 2), 0), 3))
         blocks[kind] = np.column_stack((neg, msn, 16.0 * neg ** 2 + 9.0 * msn ** 2))
     maxes = {kind: float(np.max(block[:, 2])) for kind, block in blocks.items()}
-    return EntanglementScatterData(blocks=blocks, max_lhs=max(maxes.values()),
-                                   max_lhs_pure=maxes["pure"])
+    max_lhs = max(maxes.values())
+    return StageRecord(checks=[("entanglement_tradeoff", max_lhs <= 4.0 + cfg.tolerance,
+                                f"max_lhs={max_lhs:.12f}")],
+                       csv_name="entanglement_scatter.csv", header=ENT_HEADER, blocks=blocks,
+                       trailer={"max_lhs": max_lhs, "max_lhs_pure": maxes["pure"]})
 
 
 # ---------------------------------------------------------------------------
@@ -302,41 +299,30 @@ EXPERIMENTS = {"sweep": noise_sweep, "scatter-coherence": coherence_magic_scatte
 AUDITS_HEADER = ("suite", "trials", "passed", "worst_margin")
 
 
-@dataclass(frozen=True)
-class RunReport:
-    checks: list            # (name, passed, detail) triples
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def lines(self):
-        for name, ok, detail in self.checks:
-            yield f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
-        yield f"overall={'PASS' if self.passed else 'FAIL'}"
+def _audit_stage(suite, cfg):
+    """Audit `suite` with cfg.<suite>_trials trials on the stream audit_<suite>,
+    as one check and one audits.csv row."""
+    trials = getattr(cfg, f"{suite}_trials")
+    report = channels.AUDIT_SUITES[suite](n_trials=trials, seed=derived_rng(cfg.seed, f"audit_{suite}"))
+    return StageRecord(checks=[(f"audit_{suite}", report.passed,
+                                f"worst_margin={report.worst_margin:.3e} trials={trials}")],
+                       csv_name="audits.csv", header=AUDITS_HEADER,
+                       blocks={suite: [[trials, int(report.passed), report.worst_margin]]}, trailer={})
 
 
-# run_all's stages, in the order of its checks and files; each draws from
-# its own derived stream, so they share no state and may run in any process
-STAGES = (*EXPERIMENTS, *channels.AUDIT_SUITES)
+# run_all's stages, name -> stage function of cfg, in the order of its checks
+# and files; each draws from its own derived stream, so they share no state
+# and may run in any process
+STAGES = {**EXPERIMENTS, **{suite: partial(_audit_stage, suite) for suite in channels.AUDIT_SUITES}}
 _pool = None    # run_all's worker pool, made by its first call (see _stage_pool)
 
 
 def _run_stage(cfg, name):
-    """One stage of run_all: its (name, passed, detail) checks, then
-    (CSV file name, CSV text) for an experiment or the audits.csv row for an
-    audit, then its seconds and the id of the process that ran it."""
+    """One stage of run_all: its checks, CSV file name and CSV text, then its
+    seconds and the id of the process that ran it."""
     t0 = perf_counter()
-    if name in EXPERIMENTS:
-        data = EXPERIMENTS[name](cfg)
-        checks, out = data.checks(cfg), (data.CSV_NAME, data.csv())
-    else:
-        trials = getattr(cfg, f"{name}_trials")
-        report = channels.AUDIT_SUITES[name](n_trials=trials, seed=derived_rng(cfg.seed, f"audit_{name}"))
-        checks = [(f"audit_{name}", report.passed,
-                   f"worst_margin={report.worst_margin:.3e} trials={trials}")]
-        out = [trials, int(report.passed), report.worst_margin]
-    return checks, out, perf_counter() - t0, os.getpid()
+    record = STAGES[name](cfg)
+    return record.checks, record.csv_name, record.csv(), perf_counter() - t0, os.getpid()
 
 
 def _stage_pool():
@@ -385,12 +371,13 @@ def run_all(cfg):
         raise ChildProcessError(f"a run-all worker process died: {exc}") from None
 
     log = logging.getLogger("magiclab")
-    audit_blocks = []
-    for name, (_, out, seconds, pid) in zip(STAGES, results):
+    files = {}      # CSV file name -> texts of the stages that name it, in stage order
+    for name, (_, csv_name, text, seconds, pid) in zip(STAGES, results):
         log.debug("run-all stage %s: %.3f s in process %d", name, seconds, pid)
-        if name in EXPERIMENTS:
-            write_csv(os.path.join(cfg.outdir, out[0]), out[1])
+        if csv_name in files:   # a later stage adds its rows under the first stage's header
+            files[csv_name].append(text.partition("\n")[2])
         else:
-            audit_blocks.append((name, [out]))
-    write_csv(os.path.join(cfg.outdir, "audits.csv"), csv_text(AUDITS_HEADER, audit_blocks, []))
+            files[csv_name] = [text]
+    for csv_name, texts in files.items():
+        write_csv(os.path.join(cfg.outdir, csv_name), "".join(texts))
     return RunReport(checks=[check for checks, *_ in results for check in checks])

@@ -31,6 +31,9 @@ def rng_from(seed):
 # validation
 # ---------------------------------------------------------------------------
 
+# huge finite entries overflow the norm, trace or Hermiticity error to inf,
+# which fails its check; the validators report that without a warning
+@np.errstate(over="ignore")
 def validate_pure_state(psi):
     """Check normalization of a state vector; return it as a complex array."""
     psi = np.asarray(psi, dtype=complex)
@@ -44,6 +47,7 @@ def validate_pure_state(psi):
     return psi
 
 
+@np.errstate(over="ignore")
 def validate_density_matrix(rho):
     """Check Hermiticity, unit trace and positivity; return a complex array.
 

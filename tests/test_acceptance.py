@@ -41,12 +41,12 @@ def test_acceptance_2_noise_sweep_reproduction():
     start = time.perf_counter()
     data = ex.noise_sweep(ex.ExperimentConfig(samples=10))
     elapsed = time.perf_counter() - start
-    kinks_ok = (abs(data.kinks["strange_white"] - 0.75) < 1e-12
-                and abs(data.kinks["norrell_white"] - 0.6) < 1e-12
-                and abs(data.kinks["strange_coherent"] - 0.6) < 1e-12)
+    kinks_ok = (abs(data.kink_strange_white - 0.75) < 1e-12
+                and abs(data.kink_norrell_white - 0.6) < 1e-12
+                and abs(data.kink_strange_coherent - 0.6) < 1e-12)
     ok = data.max_abs_residual < 1e-9 and kinks_ok and elapsed < 5.0
     assert report(2, "noise-sweep reproduction", ok,
-                  f"max residual={data.max_abs_residual:.3e}, kinks={data.kinks}, {elapsed:.2f}s")
+                  f"max residual={data.max_abs_residual:.3e}, trailer={data.trailer}, {elapsed:.2f}s")
 
 
 def test_acceptance_3_endpoint_values(named_states):

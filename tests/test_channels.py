@@ -375,6 +375,53 @@ def test_result1_branch_and_bound_matches_full_solves(seed, tol):
         assert 0 < violations < 120
 
 
+# result1's proof (README, channels section), one test per step: sigma, the
+# nearest diagonal state to rho, stays diagonal under an incoherent channel,
+# diagonal states lie in the polytope, and the trace distance contracts.
+
+def test_diagonal_qutrits_lie_in_the_polytope():
+    # tr(F sigma) = 1 + sigma_ii for the facet F holding the basis projector
+    # |i><i|: F's three other projectors are unbiased, each giving 1/3.
+    # So min_F tr(F sigma) - 1 = min_i sigma_ii >= 0, within rounding.
+    rng = np.random.default_rng(2024)
+    diags = np.concatenate([np.eye(3), rng.dirichlet(np.ones(3), size=10_000)])
+    sigmas = np.einsum("ni,ij->nij", diags, np.eye(3)).astype(complex)
+    margins = np.einsum("fij,nji->nf", st.stabilizer_facets(3), sigmas).real.min(axis=1) - 1.0
+    assert np.max(np.abs(margins - diags.min(axis=1))) <= 1e-15
+    assert st.in_polytope_batch(sigmas, tol=1e-15).all()
+
+
+def test_incoherent_kraus_stacks_keep_diagonal_states_diagonal():
+    # each Kraus element maps basis states to basis states, so every
+    # off-diagonal entry of the image is a sum of exact zeros
+    rng = np.random.default_rng(2025)
+    counts = np.repeat(np.arange(1, 28), 20)
+    kraus = ch._incoherent_kraus(counts, 3, rng)
+    sigmas = np.einsum("ni,ij->nij", rng.dirichlet(np.ones(3), size=len(counts)), np.eye(3)).astype(complex)
+    images = ch._images(kraus, sigmas).sum(axis=1)
+    assert np.all(images[:, ~np.eye(3, dtype=bool)] == 0.0)
+
+
+@pytest.mark.parametrize("family", ["monomial_clifford", "dephasing", "kraus_10_to_27"])
+def test_result1_margin_holds_on_channels_the_audit_never_draws(family):
+    # the audit draws 1 to 9 random Kraus elements; the theorem covers every
+    # incoherent channel, so the conservative margin (magic upper bound of
+    # the image minus coherence lower bound of the state) stays <= tol
+    rng = np.random.default_rng(2026)
+    if family == "monomial_clifford":
+        kraus = ch.incoherent_clifford_unitaries(3)[:, None]
+    elif family == "dephasing":
+        kraus = ch.dephasing_channel(3).kraus[None]
+    else:
+        kraus = ch._incoherent_kraus(np.repeat(np.arange(10, 28), 4), 3, rng)
+    kraus = np.repeat(kraus, -(-400 // len(kraus)), axis=0)
+    rhos = ch._mixed_and_pure(len(kraus), 3, rng)
+    images = ch._images(kraus, rhos).sum(axis=1)
+    magic, _, _, _ = st.polytope_distance_batch(images, st.stabilizer_pure_states(3).projectors)
+    coh, _, _, _ = st.polytope_distance_batch(rhos, st.basis_projectors(3))
+    assert np.max(magic[:, 1] - coh[:, 0]) <= 1e-8
+
+
 @pytest.mark.parametrize("u", [np.eye(3), np.diag([1.0, np.exp(0.3j), 1.0]),
                                ch.sample_channel(3, 1, seed=5).kraus[0]])
 def test_classify_early_stop_matches_full_solve(qutrit_vertices, u):

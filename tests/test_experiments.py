@@ -22,6 +22,11 @@ def small_cfg(**kw):
     return ex.ExperimentConfig(**base)
 
 
+def kinks(sweep):
+    # {curve: kink p} from the sweep's kink_<curve> trailer values
+    return {key.removeprefix("kink_"): val for key, val in sweep.trailer.items() if key.startswith("kink_")}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ex.ExperimentConfig(samples=0)
@@ -70,7 +75,7 @@ def test_config_from_file(tmp_path):
 
 def test_sweep_endpoints_and_kinks():
     data = ex.noise_sweep(small_cfg())
-    rows = {round(row[0], 10): row for row in data.table}
+    rows = {round(row[0], 10): row for row in data.blocks[None]}
     # p=0: both white-noise curves start at 2/3
     assert abs(rows[0.0][1] - 2 / 3) < 1e-10
     assert abs(rows[0.0][2] - 2 / 3) < 1e-10
@@ -81,7 +86,7 @@ def test_sweep_endpoints_and_kinks():
     assert abs(rows[1.0][3] - 4 / 9) < 1e-10
     assert abs(rows[1.0][4] - 4 / 9) < 1e-10
     assert data.max_abs_residual < 1e-9
-    assert data.kinks == {"strange_white": 0.75, "norrell_white": 0.6, "strange_coherent": 0.6}
+    assert kinks(data) == {"strange_white": 0.75, "norrell_white": 0.6, "strange_coherent": 0.6}
 
 
 @pytest.mark.parametrize("p_step", [0.025, 0.05, 0.1])
@@ -89,9 +94,9 @@ def test_sweep_finds_kinks_on_grid_points(p_step):
     # the kinks at 3/5 are grid points, where the two branches tie up to rounding
     cfg = small_cfg(p_step=p_step)
     data = ex.noise_sweep(cfg)
-    assert data.kinks["norrell_white"] == pytest.approx(0.6, abs=1e-12)
-    assert data.kinks["strange_coherent"] == pytest.approx(0.6, abs=1e-12)
-    assert all(passed for _, passed, _ in data.checks(cfg))
+    assert kinks(data)["norrell_white"] == pytest.approx(0.6, abs=1e-12)
+    assert kinks(data)["strange_coherent"] == pytest.approx(0.6, abs=1e-12)
+    assert all(passed for _, passed, _ in data.checks)
 
 
 @pytest.mark.parametrize("p_step,strange_white", [(0.04, 0.76), (0.07, 0.77), (0.2, 0.8)])
@@ -100,22 +105,22 @@ def test_sweep_finds_kinks_in_the_upper_half_of_a_cell(p_step, strange_white):
     # grid point above it; every kink is within half a step of the reference
     cfg = small_cfg(p_step=p_step)
     data = ex.noise_sweep(cfg)
-    assert data.kinks["strange_white"] == pytest.approx(strange_white, abs=1e-12)
-    assert all(passed for _, passed, _ in data.checks(cfg))
+    assert kinks(data)["strange_white"] == pytest.approx(strange_white, abs=1e-12)
+    assert all(passed for _, passed, _ in data.checks)
 
 
 def test_sweep_reports_no_kink_that_is_off_its_grid():
     # a one-point grid, p = 0 alone, holds no kink: one branch fits every point
     cfg = small_cfg(p_step=2)
     data = ex.noise_sweep(cfg)
-    assert data.table.shape == (1, 9) and data.kinks == {}
-    assert [(name, ok) for name, ok, _ in data.checks(cfg)] == [("sweep_residual", True),
-                                                                ("sweep_kinks", False)]
+    assert data.blocks[None].shape == (1, 9) and kinks(data) == {}
+    assert [(name, ok) for name, ok, _ in data.checks] == [("sweep_residual", True),
+                                                           ("sweep_kinks", False)]
 
 
 def test_sweep_matches_formulas_on_grid():
     data = ex.noise_sweep(small_cfg())
-    for row in data.table:
+    for row in data.blocks[None]:
         for mcol, rcol in ((1, 5), (2, 6), (3, 7), (4, 8)):
             assert abs(row[mcol] - row[rcol]) < 1e-9
 
@@ -123,9 +128,9 @@ def test_sweep_matches_formulas_on_grid():
 def test_sweep_robustness_orderings():
     data = ex.noise_sweep(small_cfg())
     # white noise: the strange curve survives past the norrell one
-    assert data.kinks["strange_white"] > data.kinks["norrell_white"]
+    assert kinks(data)["strange_white"] > kinks(data)["norrell_white"]
     # coherent noise: the noisy norrell state stays at least as magical
-    for row in data.table:
+    for row in data.blocks[None]:
         p, _, _, strange_coh, norrell_coh = row[:5]
         if 0 < p < 1:
             assert norrell_coh >= strange_coh - 1e-12
@@ -205,7 +210,7 @@ def test_csv_round_trip_precision(tmp_path):
     body = [ln for ln in path.read_text().splitlines()
             if ln and not ln.startswith("#")][1:]
     parsed = np.array([[float(x) for x in ln.split(",")] for ln in body])
-    assert np.array_equal(parsed, data.table)
+    assert np.array_equal(parsed, data.blocks[None])
 
 
 _special = hst.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
@@ -249,7 +254,7 @@ def test_scatter_data_is_columnar():
         assert all(isinstance(b, np.ndarray) and b.dtype == float and b.shape[1] == width
                    for b in blocks)
         assert sum(len(b) for b in blocks) == cfg.samples + cfg.samples // 10
-    assert isinstance(ex.noise_sweep(cfg).table, np.ndarray)
+    assert isinstance(ex.noise_sweep(cfg).blocks[None], np.ndarray)
 
 
 def test_run_all_passes_and_is_deterministic(tmp_path):
@@ -267,8 +272,10 @@ def test_run_all_passes_and_is_deterministic(tmp_path):
 def test_run_all_sweep_and_scatter_bytes_pinned(tmp_path):
     # SHA-256 of the small-config run's sweep and scatter CSVs; they draw no
     # solver output, so no change to the polytope solver may move them.
-    # audits.csv is left out: its result1 worst margin may move in the last
-    # digits when the solver's batches change.
+    # audits.csv is left out here: its result1 worst margin may move in the
+    # last digits when the solver's batches change. It is pinned at the
+    # default config, with run-all's stdout and the other three CSVs, by
+    # test_cli.py's test_run_all_seed_42_outputs_are_pinned.
     ex.run_all(small_cfg(outdir=str(tmp_path)))
     pinned = {
         "sweep.csv": "2c26c908e7942f1766d81e0b2aa093a8a874c165877db20ee97ceb96bd7cd1d7",
