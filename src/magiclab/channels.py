@@ -20,7 +20,7 @@ stabilizer preservation off the polytope's facets.
 `estimate_cm` and the result1 audit solve distances only as far as their
 question needs: each state stops once its certified bracket decides the
 answer (result1 branches and bounds on the margin of each pair), and every
-state that could still change the answer is solved to the certified gap.
+state that could still change the answer is solved to `stabilizer.TOL`.
 """
 
 from dataclasses import dataclass, field
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import monotones, stabilizer
-from .linalg import (ginibre_dm_batch, haar_pure_batch, partial_trace, rng_from, tensor,
-                     validate_density_matrix)
+from .linalg import (_complex_normal, ginibre_dm_batch, haar_pure_batch, partial_trace, rng_from,
+                     tensor, validate_density_matrix)
 from .phasespace import wigner_batch
 
 COMPLETENESS_ATOL = 1e-10
@@ -37,7 +37,9 @@ INCOHERENT_ENTRY_TOL = 1e-9
 PROB_FLOOR = 1e-12    # selective outcomes at or below this probability are dropped
 MONOTONE_TOL = 1e-9   # allowed coherence increase in the lp and selective audits
 CW_SLACK = 2e-6       # allowed C_w increase in the contractivity audit
-VERTEX_TOL = 1e-7     # slack of classify's two flags and the gso audit's fixed-vertex test
+# allowed margin in the result1 audit; it must exceed 2 * stabilizer.TOL, the most
+# that the conservative ends of two certified brackets add to a true margin <= 0
+RESULT1_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ def _incoherent_kraus(n_kraus, d, rng):
     (diagonal) inverse square root of sum K^dag K so completeness is exact."""
     counts, n, k_max = _kraus_counts(n_kraus)
     perms = rng.permuted(np.broadcast_to(np.arange(d), (n, k_max, d)), axis=-1)
-    amps = rng.standard_normal((n, k_max, d)) + 1j * rng.standard_normal((n, k_max, d))
+    amps = _complex_normal(rng, (n, k_max, d))
     amps[np.arange(k_max) >= counts[:, None]] = 0.0
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))[:, None, :]  # sum K^dag K is diagonal
     kraus = np.zeros((n, k_max, d, d), dtype=complex)
@@ -148,8 +150,7 @@ def _haar_kraus(n_kraus, d, rng):
     a (k_max*d) x d Ginibre matrix with the rows past n_kraus[t]*d zeroed,
     turned into Kraus blocks by `_isometry_kraus`."""
     counts, n, k_max = _kraus_counts(n_kraus)
-    shape = (n, k_max * d, d)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g = _complex_normal(rng, (n, k_max * d, d))
     g[np.arange(k_max * d) >= d * counts[:, None]] = 0.0
     return _isometry_kraus(g, d)
 
@@ -193,9 +194,9 @@ def incoherent_clifford_unitaries(d):
 
 
 def _fixes_vertices(images, verts):
-    """Whether max |image - vertex| <= VERTEX_TOL over the last three axes of
-    the vertex images (..., m, d, d)."""
-    return np.max(np.abs(images - verts), axis=(-3, -2, -1)) <= VERTEX_TOL
+    """Whether max |image - vertex| <= stabilizer.VERTEX_TOL over the last
+    three axes of the vertex images (..., m, d, d)."""
+    return np.max(np.abs(images - verts), axis=(-3, -2, -1)) <= stabilizer.VERTEX_TOL
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,8 @@ def classify(channel, vertex_set, seed=0, n_probe=50):
     phase. Stabilizer preservation is decided exactly from the vertex images,
     since the channel is linear and the polytope is the vertices' hull: the
     channel is preserving iff every image passes `stabilizer.in_polytope_batch`
-    with the facet slack VERTEX_TOL, and genuinely stabilizer iff every image
-    is its vertex within VERTEX_TOL. `seed` and `n_probe` have no effect."""
+    and genuinely stabilizer iff every image is its vertex, both within the
+    slack `stabilizer.VERTEX_TOL`. `seed` and `n_probe` have no effect."""
     d = vertex_set.dim
     if not channel.dim_in == channel.dim_out == d:
         raise ValueError(f"channel maps {channel.dim_in} -> {channel.dim_out}, "
@@ -223,7 +224,7 @@ def classify(channel, vertex_set, seed=0, n_probe=50):
     clifford = incoh and len(channel.kraus) == 1 and channel.kraus[0] in stabilizer.clifford_group(d)
     images = _images(channel.kraus, vertex_set.projectors).sum(axis=1)
     return HierarchyFlags(incoherent=incoh, incoherent_clifford_unitary=clifford,
-                          stabilizer_preserving=bool(stabilizer.in_polytope_batch(images, VERTEX_TOL).all()),
+                          stabilizer_preserving=bool(stabilizer.in_polytope_batch(images).all()),
                           genuinely_stabilizer=bool(_fixes_vertices(images, vertex_set.projectors)))
 
 
@@ -295,15 +296,15 @@ def _incoherent_outcomes(n_trials, rng):
     return rhos, outcomes
 
 
-def result1_audit(n_trials, seed, tol=1e-8):
+def result1_audit(n_trials, seed):
     """Magic after a random incoherent channel vs initial coherence:
-    distance_magic(channel(rho)) <= incoherent_distance(rho) + tol, decided on
-    the conservative side of both certified brackets (magic upper bound minus
-    coherence lower bound).
+    distance_magic(channel(rho)) <= incoherent_distance(rho) + RESULT1_TOL,
+    decided on the conservative side of both certified brackets (magic upper
+    bound minus coherence lower bound).
 
     The two distance sets are solved in lockstep and the margins branch and
     bound: pair i has the margin bracket [magic_lo - coh_hi, magic_hi - coh_lo]
-    and stops once its upper end is <= tol (so it is no violation) and below
+    and stops once its upper end is <= RESULT1_TOL (no violation) and below
     the largest lower end over all pairs (so it is not the worst). Every other
     pair is solved to the solver's certified gap, so `violations` is exact and
     the worst margin is fully certified; `undecided` counts the pairs neither
@@ -312,15 +313,13 @@ def result1_audit(n_trials, seed, tol=1e-8):
     and `sweeps_max` over the states of both solves.
     """
     _require_trials(n_trials)
-    if not np.isfinite(tol):
-        raise ValueError(f"result1_audit needs a finite tol, got {tol}")
     rhos, images = _incoherent_outcomes(n_trials, rng_from(seed))
     images = images.sum(axis=1)  # frees the (n, 9, 3, 3) outcomes before the solve
     pruned = np.zeros(n_trials, dtype=bool)
 
     def decided(magic, coh):
         upper = magic[:, 1] - coh[:, 0]
-        pruned[(upper <= tol) & (upper < np.max(magic[:, 0] - coh[:, 1]))] = True
+        pruned[(upper <= RESULT1_TOL) & (upper < np.max(magic[:, 0] - coh[:, 1]))] = True
         return pruned
 
     (magic, _, magic_sweeps, magic_ok), (coh, _, coh_sweeps, coh_ok) = stabilizer.solve_decided(
@@ -329,8 +328,8 @@ def result1_audit(n_trials, seed, tol=1e-8):
     margins = magic[:, 1] - coh[:, 0]
     worst = float(np.max(margins))
     sweeps = np.concatenate([magic_sweeps, coh_sweeps])
-    return AuditReport(suite="result1", trials=n_trials, passed=worst <= tol, worst_margin=worst,
-                       details={"tolerance": tol, "violations": int(np.sum(margins > tol)),
+    return AuditReport(suite="result1", trials=n_trials, passed=worst <= RESULT1_TOL, worst_margin=worst,
+                       details={"tolerance": RESULT1_TOL, "violations": int(np.sum(margins > RESULT1_TOL)),
                                 "undecided": int(np.sum(~(pruned | magic_ok & coh_ok))),
                                 "pruned": int(np.sum(pruned)),
                                 "sweeps_p50": float(np.median(sweeps)),
@@ -441,8 +440,8 @@ def cw_contractivity_audit(n_trials, seed):
     rhos = g @ g.conj().swapaxes(1, 2)
     rhos /= np.einsum("nii->n", rhos).real[:, None, None]
     kraus = _isometry_kraus(np.stack([iso_even, iso_odd], axis=1).reshape(-1, 27, 3)[:n_trials], 3)
-    before, _ = monotones.cw_coherence_grid(wigner_batch(rhos, 3))
-    after, _ = monotones.cw_coherence_grid(wigner_batch(_images(kraus, rhos).sum(axis=1), 3))
+    before = monotones.cw_coherence_grid(wigner_batch(rhos, 3))
+    after = monotones.cw_coherence_grid(wigner_batch(_images(kraus, rhos).sum(axis=1), 3))
     worst = float(np.max(after - before))
     return AuditReport(suite="cw_contractivity", trials=n_trials, passed=worst <= CW_SLACK,
                        worst_margin=worst, details={"slack": CW_SLACK})

@@ -120,23 +120,20 @@ def cw_coherence(rho):
         C_w = min_{lambda >= 0} (|1 - lambda| + sum_l |m_l - lambda/d|) / (d+1),
 
     convex and piecewise linear in lambda, hence minimal at a breakpoint
-    lambda = 1 or d m_l. The minimizing lambda comes with :func:`cw_coherence_grid`.
+    lambda = 1 or d m_l.
     """
-    return float(cw_coherence_grid(wigner(rho))[0])
+    return float(cw_coherence_grid(wigner(rho)))
 
 
 def cw_coherence_grid(w):
-    """C_w and its minimizing lambda straight from a Wigner grid (d, d) or a
-    stack of grids (..., d, d)."""
+    """C_w straight from a Wigner grid (d, d) or a stack of grids (..., d, d)."""
     d = np.shape(w)[-1]
     m = striation_marginals(w)[..., 1:, :].reshape(np.shape(w)[:-2] + (d * d,))
     # a line sum rounded below 0 puts its breakpoint at the boundary lambda = 0
     lam = np.maximum(np.concatenate([np.ones(m.shape[:-1] + (1,)), d * m], axis=-1), 0.0)
     # cumsum adds in a fixed order, so a grid's value does not depend on its batch
     line_terms = np.cumsum(np.abs(m[..., None, :] - lam[..., None] / d), axis=-1)[..., -1]
-    vals = (np.abs(1.0 - lam) + line_terms) / (d + 1)
-    best = np.argmin(vals, axis=-1)[..., None]
-    return np.take_along_axis(vals, best, -1)[..., 0], np.take_along_axis(lam, best, -1)[..., 0]
+    return ((np.abs(1.0 - lam) + line_terms) / (d + 1)).min(axis=-1)
 
 
 def all_monotones(rho, dims=None):
@@ -157,7 +154,7 @@ def all_monotones(rho, dims=None):
     out.append(MonotoneReport("l1_coherence", float(l1_coherence_batch(rho))))
     out.append(MonotoneReport("l2_coherence", float(lp_coherence_batch(rho, 2))))
     if wigner_ok:
-        out.append(MonotoneReport("cw_coherence", float(cw_coherence_grid(w)[0])))
+        out.append(MonotoneReport("cw_coherence", float(cw_coherence_grid(w))))
     if d == 3:
         for name, magic in (("distance_magic", True), ("distance_coherence", False)):
             out.append(MonotoneReport(name, float(stabilizer._free_distances(rho[None], magic)[0])))

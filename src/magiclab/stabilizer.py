@@ -34,8 +34,8 @@ eigendecomposition: the ADMM dual, negated and clipped to that ball, and
 half the sign of the residual rho - sum_i w_i v_i. Any X in the ball gives
 a valid bound, so the choice of X affects only how fast states certify.
 Over another vertex list the step 1 may be too long, so a state may end
-uncertified at `max_iter`, but for these two reasons its bracket is sound.
-Each state stops once upper - lower <= tol. A caller that asks a question
+uncertified at `MAX_ITER`, but for these two reasons its bracket is sound.
+Each state stops once upper - lower <= `TOL`. A caller that asks a question
 of the distances rather than their values can also stop a state as soon as
 its bracket answers it: :func:`solve_decided` takes a rule that marks the
 states whose question is answered (in `channels`, `estimate_cm` and the
@@ -88,6 +88,9 @@ from .linalg import validate_density_matrix
 from .phasespace import _is_prime, clock_matrix, shift_matrix
 
 GENERATOR_NAMES = ("X", "Z", "F", "S")
+TOL = 1e-9         # a solve certifies a state once upper - lower <= TOL
+MAX_ITER = 5000    # the sweeps after which a solve stops, certified or not
+VERTEX_TOL = 1e-7  # in_polytope_batch's default facet slack, and channels' vertex slack
 
 _vertex_cache = {}
 
@@ -202,7 +205,7 @@ def stabilizer_facets(d):
     return facets
 
 
-def in_polytope_batch(rhos, tol=1e-7):
+def in_polytope_batch(rhos, tol=VERTEX_TOL):
     """Polytope membership per matrix of a (..., d, d) stack, unvalidated: min
     tr(F rho) >= 1 - tol over the `stabilizer_facets` F. `tol` is a facet slack;
     a violation s puts rho at trace distance >= s / sqrt(5) from the polytope."""
@@ -351,7 +354,7 @@ def _newton(rhos, verts, w, support, kernel):
     return w, c, failed
 
 
-def _polish(rhos, verts, vdual, w, bounds, tol):
+def _polish(rhos, verts, vdual, w, bounds):
     """Newton-polished weights for the states of a plain solve whose bracket
     is open, kept only where they certify.
 
@@ -359,7 +362,7 @@ def _polish(rhos, verts, vdual, w, bounds, tol):
     assumed to have a 1-d kernel, then, where that fails, none
     (:func:`_newton`). Polished weights pass only if they are feasible
     (w >= -1e-12, then clipped and renormalised), their upper bound is no
-    higher than `bounds`' and the bracket closes to `tol` against
+    higher than `bounds`' and the bracket closes to `TOL` against
     :func:`_dual_bound` at X, with c clipped to [-1/2, 1/2]: that X lies in
     the ball, so an accepted bracket is sound whatever the Newton steps did.
     Returns (accepted, weights, bounds) for the accepted states.
@@ -386,13 +389,13 @@ def _polish(rhos, verts, vdual, w, bounds, tol):
         if kernel:
             g[np.arange(len(todo)), np.argmin(np.abs(lam), axis=1)] = np.clip(c, -0.5, 0.5)
         lower = np.maximum(_dual_bound(rhos[todo], u, g, vdual), bounds[todo, 0])
-        ok = (upper <= bounds[todo, 1]) & (upper - lower <= tol)
+        ok = (upper <= bounds[todo, 1]) & (upper - lower <= TOL)
         accepted[todo[ok]] = True
         w_out[todo[ok]], b_out[todo[ok]] = wp[ok], np.stack([lower[ok], upper[ok]], axis=1)
     return accepted, w_out[accepted], b_out[accepted]
 
 
-def _admm(rhos, vertices, tol, max_iter, decisive):
+def _admm(rhos, vertices, decisive):
     """The solver of :func:`solve_decided` for one problem, as a generator.
 
     After each bracket update it yields the (n, 2) [lower, upper] array,
@@ -400,7 +403,7 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
     over the states: the states the caller has decided stop there, without
     being certified. It returns (bounds, weights, iterations, certified).
 
-    The brackets are updated every 10 sweeps and at `max_iter`. A
+    The brackets are updated every 10 sweeps and at `MAX_ITER`. A
     `decisive` solve, whose caller decides states from their brackets, also
     reads them after sweeps 1 and 2, where most decided states already
     stop. The penalty tau keeps its 10-sweep schedule, so an extra read
@@ -428,7 +431,7 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
     active, wa, ya, ta, ra = np.arange(n), w, np.zeros_like(rhos), np.ones((n, 1, 1)), rhos
     delta = None
 
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, MAX_ITER + 1):
         if len(active) == 0:
             break
         if delta is None:
@@ -456,7 +459,7 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
         ya = ya + ta * resid
 
         cadence = sweep % 10 == 0
-        if cadence or sweep == max_iter or (decisive and sweep in _EARLY_BRACKETS):
+        if cadence or sweep == MAX_ITER or (decisive and sweep in _EARLY_BRACKETS):
             w[active], iters[active] = wa, sweep
             lam, u = np.linalg.eigh(delta)
             upper = 0.5 * np.sum(np.abs(lam), axis=1)
@@ -468,10 +471,10 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
             if cadence:
                 rp = np.abs(resid).max(axis=(1, 2), keepdims=True)
                 ta = np.where(rp > 1e-7, ta * 1.5, ta)
-            done = upper - lower <= tol
+            done = upper - lower <= TOL
             if not decisive and not done.all():
                 left = np.flatnonzero(~done)
-                polished, wp, bp = _polish(ra[left], verts, vdual, wa[left], bounds[active[left]], tol)
+                polished, wp, bp = _polish(ra[left], verts, vdual, wa[left], bounds[active[left]])
                 left = left[polished]
                 w[active[left]], bounds[active[left]], done[left] = wp, bp, True
             certified[active[done]] = True
@@ -485,7 +488,7 @@ def _admm(rhos, vertices, tol, max_iter, decisive):
     return bounds, w, iters, certified
 
 
-def solve_decided(problems, decide=None, tol=1e-9, max_iter=5000):
+def solve_decided(problems, decide=None):
     """Solve (rhos, vertices) problems in lockstep; each one's result is the
     (bounds, weights, iterations, certified) of :func:`polytope_distance_batch`.
 
@@ -497,8 +500,6 @@ def solve_decided(problems, decide=None, tol=1e-9, max_iter=5000):
     are not an (n, d, d) stack, vertices that are not an (m >= 1, d, d) stack
     of the states' d, and unequal state counts under a rule raise ValueError.
     """
-    if not np.isfinite(tol) or max_iter < 1:
-        raise ValueError(f"need a finite tol and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
     for rhos, vertices in problems:
         states, shape = np.shape(rhos), np.shape(vertices)
         if len(states) != 3 or states[1] != states[2]:
@@ -510,7 +511,7 @@ def solve_decided(problems, decide=None, tol=1e-9, max_iter=5000):
     counts = [len(rhos) for rhos, _ in problems]
     if decide is not None and len(set(counts)) > 1:
         raise ValueError(f"a decide rule needs the same number of states in every problem, got {counts}")
-    solvers = [_admm(rhos, vertices, tol, max_iter, decide is not None) for rhos, vertices in problems]
+    solvers = [_admm(rhos, vertices, decide is not None) for rhos, vertices in problems]
     bounds = [None] * len(solvers)
     results = [None] * len(solvers)
     decided = None
@@ -527,7 +528,7 @@ def solve_decided(problems, decide=None, tol=1e-9, max_iter=5000):
             decided = decide(*bounds)
 
 
-def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):
+def polytope_distance_batch(rhos, vertices):
     """min_w (1/2)||rho - sum_i w_i v_i||_1 over the simplex, for a state stack,
     bracketed by a dual lower bound, by the ADMM solver of the module docstring.
     The lower bound is a running max from 0, and a state's penalty tau grows
@@ -535,10 +536,10 @@ def polytope_distance_batch(rhos, vertices, tol=1e-9, max_iter=5000):
 
     Returns (bounds, weights, iterations, certified): `bounds` is (n, 2) with
     columns [lower, upper], the upper bound evaluated at `weights`, and
-    `certified` marks the states whose gap closed to within `tol` before
-    `max_iter`.
+    `certified` marks the states whose gap closed to within `TOL` before
+    `MAX_ITER`.
     """
-    return solve_decided([(rhos, vertices)], tol=tol, max_iter=max_iter)[0]
+    return solve_decided([(rhos, vertices)])[0]
 
 
 def polytope_distance(rho, vertex_set):

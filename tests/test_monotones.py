@@ -184,14 +184,6 @@ def test_cw_rises_along_a_diagonal_phase_orbit():
     assert abs(values[0] - 1 / 3) <= 1e-12 and abs(values[1] - 5 / 9) <= 1e-12
 
 
-def test_cw_grid_minimizer_is_a_breakpoint(named_states):
-    rho = named_states["coherent"]
-    value, lam = mo.cw_coherence_grid(ps.wigner(rho))
-    assert value == mo.cw_coherence(rho)
-    breakpoints = np.append(1.0, 3 * ps.striation_marginals(ps.wigner(rho))[1:].ravel())
-    assert lam > 0 and np.min(np.abs(breakpoints - lam)) < 1e-12
-
-
 def test_distance_monotones_trivial_cases(qutrit_vertices):
     vertex = qutrit_vertices.projectors[7]
     assert mo.distance_magic(vertex) <= 1e-9
@@ -400,11 +392,9 @@ def test_batch_coherence_kernels_match_single_state_forms():
         old = [float(np.sum(np.abs(r - np.diag(np.diag(r))) ** 2) ** 0.5) for r in batch]
         assert mo.lp_coherence_batch(batch, 2).tolist() == old
     grids = ps.wigner_batch(rhos, 3)
-    values, lams = mo.cw_coherence_grid(grids)
-    single = [mo.cw_coherence_grid(w) for w in grids]
-    assert values.tolist() == [float(v) for v, _ in single]
-    assert lams.tolist() == [float(lam) for _, lam in single]
-    assert mo.cw_coherence(rhos[0]) == float(mo.cw_coherence_grid(ps.wigner(rhos[0]))[0])
+    values = mo.cw_coherence_grid(grids)
+    assert values.tolist() == [float(mo.cw_coherence_grid(w)) for w in grids]
+    assert mo.cw_coherence(rhos[0]) == float(mo.cw_coherence_grid(ps.wigner(rhos[0])))
 
 
 def _count_validations_and_grids(monkeypatch, fn, rho):
@@ -484,7 +474,7 @@ def test_monotones_invariant_under_monomial_cliffords(qutrit_vertices, re, im, m
     assert len(us) == 54
     stack = np.concatenate([rho[None], us @ rho @ us.conj().transpose(0, 2, 1)])
     for values in (mo.l1_coherence_batch(stack), mo.lp_coherence_batch(stack, p),
-                   mo.cw_coherence_grid(ps.wigner_batch(stack, 3))[0]):
+                   mo.cw_coherence_grid(ps.wigner_batch(stack, 3))):
         assert np.max(np.abs(values - values[0])) < 1e-12
     # every bracket holds the one true distance, so all brackets must overlap
     for verts in (qutrit_vertices.projectors, st.basis_projectors(3)):
@@ -525,5 +515,91 @@ def test_cw_never_increases_under_the_diagonal_ancilla_protocol(re, im, u, v, an
     joint = _COUPLINGS[coupling] @ linalg.tensor(us[u], us[v])
     evolved = joint @ linalg.tensor(rho, sigma) @ joint.conj().T
     out = linalg.partial_trace(evolved, (3, 3), 0)
-    before, after = mo.cw_coherence_grid(ps.wigner_batch(np.stack([rho, out]), 3))[0]
+    before, after = mo.cw_coherence_grid(ps.wigner_batch(np.stack([rho, out]), 3))
     assert after <= before + 1e-12
+
+
+# The qutrit-qubit trade-off 16 E^2 + 9 M^2 <= 4 as a theorem (README,
+# monotones section), one test per step. E is the negativity of the state
+# and M the sum negativity of its reduced qutrit rho_A.
+
+@pytest.fixture(scope="module")
+def schmidt_states():
+    """2 x 10^4 Haar pure qutrit-qubit states, their reduced qutrits and the
+    eigenvalues (ascending) and eigenvectors of those."""
+    rhos = linalg.haar_pure_batch(20_000, 6, np.random.default_rng(2024))
+    reduced = linalg.partial_trace(rhos, (3, 2), 0)
+    lam, vec = np.linalg.eigh(reduced)
+    return rhos, reduced, lam, vec
+
+
+def test_tradeoff_step1_pure_negativity_is_the_schmidt_mean(schmidt_states):
+    # Schmidt coefficients l1 >= l2 (rho_A has rank 2): E = sqrt(l1 l2)
+    rhos, _, lam, _ = schmidt_states
+    assert np.all(np.abs(lam[:, 0]) <= 1e-15)
+    e = mo.negativity_batch(rhos, (3, 2))
+    assert np.max(np.abs(e - np.sqrt(lam[:, 2] * lam[:, 1]))) <= 1e-14
+
+
+def test_tradeoff_step2_reduced_magic_is_convex_in_the_schmidt_split(schmidt_states):
+    # rho_A = (l1 - l2)|a1><a1| + 2 l2 P/2 with P = |a1><a1| + |a2><a2|, and
+    # sum_u |W_u| is convex, so M(rho_A) <= (l1 - l2) M(a1) + 2 l2 M(P/2);
+    # with steps 3 and 4 that is M(rho_A) <= (2/3)(l1 - l2)
+    _, reduced, lam, vec = schmidt_states
+    l1, l2 = lam[:, 2], lam[:, 1]
+    a1 = np.einsum("ni,nj->nij", vec[:, :, 2], vec[:, :, 2].conj())
+    half_p = (a1 + np.einsum("ni,nj->nij", vec[:, :, 1], vec[:, :, 1].conj())) / 2
+    assert np.max(np.abs(reduced - (l1 - l2)[:, None, None] * a1 - 2 * l2[:, None, None] * half_p)) <= 1e-14
+    m, m_a1, m_half_p = (mo.sum_negativity_grid(ps.wigner_batch(s, 3)) for s in (reduced, a1, half_p))
+    assert np.max(m - ((l1 - l2) * m_a1 + 2 * l2 * m_half_p)) <= 1e-12
+    assert np.max(m - 2 / 3 * (l1 - l2)) <= 0.0
+    # M >= 0, as sum_u |W_u| >= sum_u W_u = 1; so 9 M^2 + 16 E^2 <= 4 (l1 - l2)^2 + 16 l1 l2 = 4
+    assert m.min() >= -1e-15
+
+
+def test_tradeoff_step3_half_a_rank_two_projector_has_no_negativity():
+    # P = I - |c><c|: the phase-point operators have eigenvalues +-1 and
+    # trace 1, so W_u(P/2) = (1 - <c|A_u|c>)/6 >= 0 and M(P/2) = 0
+    ops = ps.phase_point_ops(3).reshape(9, 3, 3)
+    eigs = np.linalg.eigvalsh(ops)
+    assert np.allclose(np.abs(eigs), 1.0, atol=1e-14)
+    assert np.allclose(np.einsum("uii->u", ops), 1.0, atol=1e-14)
+    c = linalg.haar_pure_batch(20_000, 3, np.random.default_rng(2024))
+    grids = ps.wigner_batch((np.eye(3) - c) / 2, 3)
+    closed = (1.0 - np.einsum("uij,nji->nu", ops, c).real) / 6
+    assert np.max(np.abs(grids.reshape(-1, 9) - closed)) <= 1e-15
+    assert grids.min() >= 0.0
+    assert mo.sum_negativity_grid(grids).max() <= 1e-14
+
+
+def test_tradeoff_step4_pure_qutrit_sum_negativity_peaks_at_two_thirds(named_states):
+    # 40 Nelder-Mead starts over pure qutrits; the strange and Norrell
+    # states attain 2/3 (Veitch et al., NJP 16, 013009, 2014)
+    from scipy.optimize import minimize
+
+    def minus_m(x):
+        psi = x[:3] + 1j * x[3:]
+        return -mo.sum_negativity_grid(ps.wigner(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real))
+
+    rng = np.random.default_rng(2024)
+    best = max(-minimize(minus_m, rng.standard_normal(6), method="Nelder-Mead").fun for _ in range(40))
+    assert 2 / 3 - 1e-9 <= best <= 2 / 3 + 1e-12
+    for name in ("strange", "norrell"):
+        assert abs(mo.sum_negativity(named_states[name]) - 2 / 3) <= 1e-15
+
+
+def test_tradeoff_step5_mixed_states_peak_at_pure_ones():
+    # E (a trace norm of the linear map rho -> rho^{T_B}) and M (of the
+    # linear map rho -> Tr_B rho) are convex and nonnegative, so
+    # 16 E^2 + 9 M^2 is convex and its maximum over states is at a pure state
+    rng = np.random.default_rng(2024)
+    a, b = linalg.ginibre_dm_batch(2000, 6, rng), linalg.haar_pure_batch(2000, 6, rng)
+    t = rng.uniform(size=2000)
+    mix = t[:, None, None] * a + (1 - t)[:, None, None] * b
+
+    def e_and_m(rhos):
+        m = mo.sum_negativity_grid(ps.wigner_batch(linalg.partial_trace(rhos, (3, 2), 0), 3))
+        return mo.negativity_batch(rhos, (3, 2)), m
+
+    for at_mix, at_a, at_b in zip(e_and_m(mix), e_and_m(a), e_and_m(b)):
+        assert np.max(at_mix - (t * at_a + (1 - t) * at_b)) <= 1e-12

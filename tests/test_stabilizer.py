@@ -326,7 +326,7 @@ def test_stabilizer_solve_sweep_budget(d, kind):
     assert iters.max() <= 300
 
 
-def _accept_no_polish(rhos, verts, vdual, w, bounds, tol):
+def _accept_no_polish(rhos, verts, vdual, w, bounds):
     """A stand-in for `stabilizer._polish` that accepts no polished weights."""
     return np.zeros(len(rhos), dtype=bool), w[:0], bounds[:0]
 
@@ -354,11 +354,13 @@ def test_early_brackets_change_only_when_a_state_stops(monkeypatch, qutrit_verti
     assert np.array_equal(w_early[same], w_plain[same])
     assert np.array_equal(early[same, 1], plain[same, 1])
     assert np.all(early[same, 0] >= plain[same, 0])
-    # the plain schedule: brackets only every 10 sweeps and at max_iter
+    # the plain schedule: brackets only every 10 sweeps and at MAX_ITER
     _, _, iters, _ = st.polytope_distance_batch(rhos, verts)
     assert np.array_equal(iters, it_plain)
     assert np.all(iters % 10 == 0)
-    _, _, iters, certified = st.polytope_distance_batch(rhos, verts, max_iter=25)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(st, "MAX_ITER", 25)
+        _, _, iters, certified = st.polytope_distance_batch(rhos, verts)
     assert np.all((iters % 10 == 0) | (iters == 25)) and not certified.all()
 
 
@@ -375,7 +377,7 @@ def test_polish_stops_no_later_and_agrees_with_admm(monkeypatch, d, kind):
     with monkeypatch.context() as patch:
         patch.setattr(st, "_polish", _accept_no_polish)
         bounds0, _, iters0, certified0 = st.polytope_distance_batch(rhos, verts)
-    tol = 1e-9
+    tol = st.TOL
     assert np.all(iters <= iters0)
     assert np.all(certified[certified0])
     assert w.min() >= 0.0 and np.abs(w.sum(axis=1) - 1.0).max() <= 1e-15
@@ -388,7 +390,7 @@ def test_polish_stops_no_later_and_agrees_with_admm(monkeypatch, d, kind):
 
 
 def test_polish_certifies_the_basis_set_tail():
-    # states that ADMM alone leaves uncertified at max_iter = 5000 (gaps
+    # states that ADMM alone leaves uncertified at MAX_ITER = 5000 (gaps
     # 1.3e-8 at d = 3 and 2.4e-9 to 1.2e-7 at d = 4): the polish certifies
     # them at the first read. The gate sets are drawn whole for their
     # streams, and only these rows are solved.
@@ -560,7 +562,9 @@ def test_certificate_property(re, im, mix, vertex_kind, tol):
              else st.basis_projectors(3))
     # pull part of the way towards the maximally mixed state to reach the interior
     rho = (1 - mix) * gram / np.trace(gram).real + mix * np.eye(3) / 3
-    bounds, _, _, certified = st.polytope_distance_batch(rho[None], verts, tol=tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(st, "TOL", tol)
+        bounds, _, _, certified = st.polytope_distance_batch(rho[None], verts)
     lower, upper = bounds[0]
     assert 0.0 <= lower <= upper + 1e-12   # float slack: the two bounds are separate sums
     if certified[0]:
