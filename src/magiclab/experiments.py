@@ -340,16 +340,15 @@ def _stage_pool():
     if cpus > 1 and "fork" in multiprocessing.get_all_start_methods():
         from concurrent.futures import ProcessPoolExecutor
         _pool = ProcessPoolExecutor(min(cpus, len(STAGES)), multiprocessing.get_context("fork"))
-        # a pool left to interpreter teardown prints "Exception ignored in ... weakref_cb"
-        atexit.register(_pool.shutdown)
     return _pool
 
 
+# also run at exit: a pool left to interpreter teardown prints "Exception ignored in ... weakref_cb"
+@atexit.register
 def _drop_pool():
     """Shut run_all's pool down and forget it, so the next call forks a new one."""
     global _pool
     if _pool is not None:
-        atexit.unregister(_pool.shutdown)
         _pool.shutdown()
         _pool = None
 

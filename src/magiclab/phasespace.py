@@ -70,16 +70,8 @@ def phase_point_ops(d):
     they sum to d * I. The array is cached per dimension and read-only.
     """
     _require_odd_prime(d)
-    a0 = np.zeros((d, d), dtype=complex)
-    for p in range(d):
-        for q in range(d):
-            a0 += displacement(d, p, q)
-    a0 /= d
-    ops = np.empty((d, d, d, d), dtype=complex)
-    for p in range(d):
-        for q in range(d):
-            dp = displacement(d, p, q)
-            ops[p, q] = dp @ a0 @ dp.conj().T
+    disp = np.array([[displacement(d, p, q) for q in range(d)] for p in range(d)])
+    ops = disp @ (disp.sum(axis=(0, 1)) / d) @ disp.conj().swapaxes(-1, -2)
     ops.setflags(write=False)
     return ops
 

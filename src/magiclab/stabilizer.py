@@ -222,12 +222,6 @@ def basis_projectors(d):
 # trace-distance minimization over a vertex simplex (ADMM splitting)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _ranks(m):
-    """The row 1, 2, ..., m."""
-    return np.arange(1, m + 1)
-
-
 def _project_simplex_batch(v):
     """Row-wise Euclidean projection onto the probability simplex, max(v - theta, 0).
 
@@ -242,7 +236,7 @@ def _project_simplex_batch(v):
     """
     css = np.sort(v, axis=1)[:, ::-1].cumsum(axis=1)
     css -= 1.0
-    css /= _ranks(v.shape[1])
+    css /= np.arange(1, v.shape[1] + 1)
     return np.maximum(v - css.max(axis=1, keepdims=True), 0.0)
 
 

@@ -147,7 +147,7 @@ def test_acceptance_9_run_all_determinism(tmp_path):
     outputs = []
     for sub in ("a", "b"):
         res = subprocess.run(
-            [sys.executable, "-m", "magiclab", "run-all", "--seed", "42",
+            [sys.executable, "-W", "error", "-m", "magiclab", "run-all", "--seed", "42",
              "--config", str(cfg), "--out", str(tmp_path / sub)],
             capture_output=True, text=True)
         assert res.returncode == 0, res.stdout + res.stderr

@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "magiclab", *args],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "magiclab", *args],
                           capture_output=True, text=True)
 
 

@@ -20,8 +20,8 @@ README_BLOCKS = [textwrap.dedent(code) for code in
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    res = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert res.returncode == 0, res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == (ROOT / "tests" / "golden" / f"{demo.stem}.txt").read_text()

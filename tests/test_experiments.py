@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import logging
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -157,6 +159,18 @@ def test_coherence_scatter_pure_bound_holds():
     assert data.min_slack_pure >= -1e-9
     kinds = {kind for kind, block in data.blocks.items() if len(block)}
     assert kinds == {"pure", "mixed"}
+
+
+def test_stage_records_survive_pickle_and_deepcopy():
+    # a copied or unpickled record reaches __getattr__ before its fields are
+    # set; records are not compared with ==, which raises on the array blocks
+    cfg = small_cfg(samples=200)
+    for record in (ex.coherence_magic_scatter(cfg), ex.noise_sweep(cfg)):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert clone.csv() == record.csv()
+            # each trailer value, as the scatter's min_slack_pure, still reads as an attribute
+            assert {key: getattr(clone, key) for key in record.trailer} == record.trailer
+            assert not hasattr(clone, "missing")
 
 
 def test_entanglement_examples():
@@ -339,8 +353,8 @@ def tiny_cfg(**kw):
 def run_python(code):
     src = str(Path(ex.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
 
 
 def stage_pids(caplog):

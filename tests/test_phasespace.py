@@ -39,14 +39,36 @@ def test_phase_point_ops_need_odd_prime_dimension(d, match):
         ps.phase_point_ops(d)
 
 
-def test_phase_point_ops_traces_and_sum():
-    ops = ps.phase_point_ops(3)
-    for p in range(3):
-        for q in range(3):
+def phase_point_ops_oracle(d):
+    """A(p,q) = D(p,q) A_0 D(p,q)^dag one operator at a time, with A_0
+    summed one displacement at a time and divided by d."""
+    a0 = np.zeros((d, d), dtype=complex)
+    for p in range(d):
+        for q in range(d):
+            a0 += ps.displacement(d, p, q)
+    a0 /= d
+    ops = np.empty((d, d, d, d), dtype=complex)
+    for p in range(d):
+        for q in range(d):
+            dp = ps.displacement(d, p, q)
+            ops[p, q] = dp @ a0 @ dp.conj().T
+    return ops
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_phase_point_ops_match_the_loop_oracle_bit_for_bit(d):
+    assert ps.phase_point_ops(d).tobytes() == phase_point_ops_oracle(d).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_phase_point_ops_traces_and_sum(d):
+    ops = ps.phase_point_ops(d)
+    for p in range(d):
+        for q in range(d):
             assert abs(np.trace(ops[p, q]) - 1) < 1e-12
             assert np.max(np.abs(ops[p, q] - ops[p, q].conj().T)) < 1e-12
-    total = ops.reshape(9, 3, 3).sum(axis=0)
-    assert np.allclose(total, 3 * np.eye(3), atol=1e-12)
+    total = ops.reshape(d * d, d, d).sum(axis=0)
+    assert np.allclose(total, d * np.eye(d), atol=1e-12)
 
 
 def test_wigner_maximally_mixed(named_states):
