@@ -28,7 +28,7 @@ from time import perf_counter
 import numpy as np
 
 from . import channels
-from .linalg import (dm_from_pure, ginibre_dm_batch, haar_pure_batch,
+from .linalg import (dm_from_pure, ginibre_dm_batch, ginibre_dm_chunks, haar_pure_batch,
                      maximally_coherent_state, maximally_mixed, norrell_state,
                      partial_trace, strange_state)
 from .monotones import l1_coherence_batch, negativity_batch, sum_negativity_grid
@@ -273,14 +273,15 @@ def entanglement_magic_scatter(cfg):
     rng = derived_rng(cfg.seed, "scatter_entanglement")
     n_mixed = cfg.samples
     n_pure = max(1, cfg.samples // 10)
-    batches = (("mixed", ginibre_dm_batch(n_mixed, 6, rng)),
-               ("pure", haar_pure_batch(n_pure, 6, rng)))
 
-    blocks = {}
-    for kind, batch in batches:
+    def columns(batch):
         neg = negativity_batch(batch, (3, 2))
         msn = sum_negativity_grid(wigner_batch(partial_trace(batch, (3, 2), 0), 3))
-        blocks[kind] = np.column_stack((neg, msn, 16.0 * neg ** 2 + 9.0 * msn ** 2))
+        return np.column_stack((neg, msn, 16.0 * neg ** 2 + 9.0 * msn ** 2))
+
+    # the mixed states one chunk at a time, all drawn before the pure batch
+    blocks = {"mixed": np.concatenate([columns(c) for c in ginibre_dm_chunks(n_mixed, 6, rng)]),
+              "pure": columns(haar_pure_batch(n_pure, 6, rng))}
     maxes = {kind: float(np.max(block[:, 2])) for kind, block in blocks.items()}
     max_lhs = max(maxes.values())
     return StageRecord(checks=[("entanglement_tradeoff", max_lhs <= 4.0 + cfg.tolerance,

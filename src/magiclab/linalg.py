@@ -140,15 +140,24 @@ def haar_pure_batch(n, d, rng):
     return np.einsum("ni,nj->nij", v, v.conj())
 
 
-def ginibre_dm_batch(n, d, rng):
-    """n Hilbert-Schmidt density matrices G G^dag / tr(G G^dag) from d x d
-    Ginibre matrices, (n, d, d). G G^dag is formed CHUNK states at a time into
-    G's own buffer, so the draw is the one full-size stack."""
-    rho = _complex_normal(rng, (n, d, d))
+def ginibre_dm_chunks(n, d, rng):
+    """n Hilbert-Schmidt states G G^dag / tr(G G^dag), G d x d Ginibre, yielded
+    CHUNK at a time: all real parts are drawn first, as in one full draw, then
+    each chunk's imaginary parts. Run it out before `rng` draws again."""
+    real = rng.standard_normal((n, d, d))
     for i in range(0, n, CHUNK):
-        s = slice(i, i + CHUNK)
-        np.einsum("nik,njk->nij", rho[s], rho[s].conj(), out=rho[s])
-        rho[s] /= np.einsum("nii->n", rho[s]).real[:, None, None]
+        g = real[i:i + CHUNK].astype(complex)
+        g.imag = rng.standard_normal(g.shape)
+        np.einsum("nik,njk->nij", g, g.conj(), out=g)    # G G^dag in G's own buffer
+        g /= np.einsum("nii->n", g).real[:, None, None]
+        yield g
+
+
+def ginibre_dm_batch(n, d, rng):
+    """The states of ginibre_dm_chunks in one (n, d, d) stack, empty at n = 0."""
+    rho = np.empty((n, d, d), dtype=complex)
+    for chunk, i in zip(ginibre_dm_chunks(n, d, rng), range(0, n, CHUNK)):
+        rho[i:i + CHUNK] = chunk
     return rho
 
 

@@ -327,6 +327,22 @@ def test_entanglement_scatter_holds_one_state_stack():
     assert peak <= 2 * n * 36 * np.dtype(complex).itemsize
 
 
+def test_entanglement_scatter_streams_its_mixed_states():
+    # the mixed states are drawn and reduced one chunk at a time, so the
+    # traced peak stays within the (n, 6, 6) float stack of real parts plus
+    # six CHUNK-row complex stacks (4.7 measured; holding the mixed states
+    # as one complex stack reads 12.4)
+    n = 40_000
+    cfg = ex.ExperimentConfig(samples=n)
+    tracemalloc.start()
+    try:
+        ex.entanglement_magic_scatter(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * 36 * np.dtype(float).itemsize + 6 * linalg.CHUNK * 36 * np.dtype(complex).itemsize
+
+
 def test_run_all_negative_control(tmp_path, monkeypatch):
     # machine-precision residuals cannot satisfy an absurd 1e-20 tolerance;
     # the autouse fixture forks the pool after the patch, so the workers see it

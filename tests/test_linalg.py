@@ -143,18 +143,28 @@ def test_batch_samplers_give_density_matrices():
             assert np.sum(np.linalg.eigvalsh(rho) > 1e-12) == rank
 
 
-@pytest.mark.parametrize("n", [1, 2 * linalg.CHUNK + 1])
+@pytest.mark.parametrize("n", [0, 1, 2 * linalg.CHUNK + 1])
 # the ids keep the d-rank form of the square cases from when the rank was a parameter
 @pytest.mark.parametrize("d", [6, 3], ids=["6-6", "3-3"])
 def test_ginibre_dm_batch_matches_the_unchunked_oracle_bit_for_bit(n, d):
     # same states to the bit over full chunks and a one-state remainder, and
-    # the generator left where the oracle leaves it
+    # the generator left where the oracle leaves it; n = 0 is an empty stack
     rng, oracle_rng = np.random.default_rng(n + d), np.random.default_rng(n + d)
     got = linalg.ginibre_dm_batch(n, d, rng)
     want = ginibre_dm_batch_oracle(n, d, oracle_rng)
     assert got.shape == want.shape == (n, d, d)
     assert np.array_equal(got.view(float), want.view(float))
-    assert rng.standard_normal() == oracle_rng.standard_normal()
+    next_draw = oracle_rng.standard_normal()
+    assert rng.standard_normal() == next_draw
+    # the chunk kernel the batch collects: at most CHUNK rows each, the
+    # same bits once joined, and the same next draw
+    rng = np.random.default_rng(n + d)
+    chunks = list(linalg.ginibre_dm_chunks(n, d, rng))
+    assert all(len(chunk) <= linalg.CHUNK for chunk in chunks)
+    assert len(chunks) == -(-n // linalg.CHUNK)
+    joined = np.concatenate([np.empty((0, d, d), complex), *chunks])
+    assert np.array_equal(joined.view(float), want.view(float))
+    assert rng.standard_normal() == next_draw
 
 
 @pytest.mark.parametrize("n", [1, 2 * linalg.CHUNK + 1])

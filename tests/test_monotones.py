@@ -588,6 +588,52 @@ def test_tradeoff_step4_pure_qutrit_sum_negativity_peaks_at_two_thirds(named_sta
         assert abs(mo.sum_negativity(named_states[name]) - 2 / 3) <= 1e-15
 
 
+# Step 4 proved: the Hesse SIC bound on pure qutrits, one test per lemma.
+
+@pytest.fixture(scope="module")
+def hesse_sic():
+    """The nine phase-point operators A_u and unit vectors a_u with
+    A_u = I - 2|a_u><a_u| (the eigenvector of eigenvalue -1)."""
+    ops = ps.phase_point_ops(3).reshape(9, 3, 3)
+    return ops, np.linalg.eigh(ops)[1][:, :, 0]
+
+
+def test_tradeoff_step4a_phase_point_operators_form_a_hesse_sic(hesse_sic):
+    # A_u = I - 2|a_u><a_u|; tr(A_u A_v) = 3 delta_uv = -1 + 4 |<a_u|a_v>|^2,
+    # so |<a_u|a_v>|^2 = 1/4 for u != v
+    ops, a = hesse_sic
+    assert np.max(np.abs(np.einsum("uij,vji->uv", ops, ops) - 3 * np.eye(9))) <= 1e-14
+    proj = np.einsum("ui,uj->uij", a, a.conj())
+    assert np.max(np.abs(ops - (np.eye(3) - 2 * proj))) <= 1e-14
+    overlaps = np.abs(a.conj() @ a.T) ** 2
+    assert np.max(np.abs(overlaps - np.where(np.eye(9, dtype=bool), 1.0, 0.25))) <= 1e-14
+
+
+def test_tradeoff_step4b_pure_sum_negativity_is_the_sic_excess(hesse_sic):
+    # x_u = |<a_u|psi>|^2 gives W_u = (1 - 2 x_u)/3 and sum_u x_u = 3, so
+    # M = sum_u |W_u| - 1 = (2/3) sum_u max(0, 2 x_u - 1)
+    _, a = hesse_sic
+    rng = np.random.default_rng(1)
+    psi = rng.standard_normal((20_000, 3)) + 1j * rng.standard_normal((20_000, 3))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    x = np.abs(psi @ a.conj().T) ** 2
+    assert np.max(np.abs(x.sum(axis=1) - 3.0)) <= 1e-14
+    m = mo.sum_negativity_grid(ps.wigner_batch(np.einsum("ni,nj->nij", psi, psi.conj()), 3))
+    assert np.max(np.abs(m - 2 / 3 * np.maximum(0.0, 2 * x - 1).sum(axis=1))) <= 1e-14
+
+
+def test_tradeoff_step4c_no_sic_subset_exceeds_one(hesse_sic):
+    # sum_{u in N} x_u <= lambda_max(G_N), G_N the Gram matrix of the a_u in
+    # N, and Gershgorin gives 2 lambda_max(G_N) - |N| <= 1 over all 511
+    # nonempty N; with step 4b, M <= (2/3) * 1 on every pure qutrit
+    _, a = hesse_sic
+    gram = a.conj() @ a.T
+    excess = [2 * np.linalg.eigvalsh(gram[np.ix_(n, n)])[-1] - len(n)
+              for n in ([u for u in range(9) if mask >> u & 1] for mask in range(1, 512))]
+    assert len(excess) == 511
+    assert max(excess) <= 1 + 1e-12
+
+
 def test_tradeoff_step5_mixed_states_peak_at_pure_ones():
     # E (a trace norm of the linear map rho -> rho^{T_B}) and M (of the
     # linear map rho -> Tr_B rho) are convex and nonnegative, so
