@@ -116,10 +116,15 @@ def selective_outcomes(channel, rho):
     return list(zip(p[keep].tolist(), out[keep] / p[keep, None, None]))
 
 
+def _incoherent(kraus):
+    """At most one entry above INCOHERENT_ENTRY_TOL per column, per matrix of a
+    stack (..., d, d); a unitary that passes is a permutation times phases."""
+    return np.all((np.abs(kraus) > INCOHERENT_ENTRY_TOL).sum(axis=-2) <= 1, axis=-1)
+
+
 def is_incoherent(channel):
-    """True iff every Kraus matrix has at most one entry above
-    INCOHERENT_ENTRY_TOL per column."""
-    return bool(np.all((np.abs(channel.kraus) > INCOHERENT_ENTRY_TOL).sum(axis=-2) <= 1))
+    """True iff every Kraus matrix passes `_incoherent`."""
+    return bool(_incoherent(channel.kraus).all())
 
 
 def _kraus_counts(n_kraus):
@@ -179,18 +184,11 @@ def sample_channel(d, n_kraus, seed=None):
 # classifiers
 # ---------------------------------------------------------------------------
 
-def _is_monomial(u):
-    """Exactly one significant entry per column and per row (permutation x
-    phases), for a matrix or per matrix of a stack."""
-    mask = np.abs(u) > INCOHERENT_ENTRY_TOL
-    return np.all(mask.sum(axis=-2) == 1, axis=-1) & np.all(mask.sum(axis=-1) == 1, axis=-1)
-
-
 def incoherent_clifford_unitaries(d):
     """The monomial (permutation x diagonal phase) Clifford unitaries, as a
     stack (n, d, d) in group order; d in {2, 3}."""
     group = stabilizer.clifford_group(d).unitaries
-    return group[_is_monomial(group)]
+    return group[_incoherent(group)]
 
 
 def _fixes_vertices(images, verts):
@@ -229,13 +227,14 @@ def classify(channel, vertex_set, seed=0, n_probe=50):
 
 
 def estimate_cm(rho, n_trials, seed=None):
-    """Certified lower bound on the supremum of polytope distance over
-    incoherent images of rho: the largest dual lower bound over rho and its
-    images under `n_trials` sampled incoherent channels (each with a uniform
-    Kraus count in 1..d^2). Incoherent Clifford images are not tried: they
-    permute the vertices, so each has exactly rho's distance. An image stops
-    being solved once its upper bound falls below the best lower bound so
-    far, since it can no longer raise the maximum.
+    """Certified lower bound on C_m(rho), the supremum of polytope distance
+    over incoherent images of rho: the largest dual lower bound over rho and
+    its images under `n_trials` sampled incoherent channels (each with a
+    uniform Kraus count in 1..d^2). For a qutrit, C_m(rho) lies in [this,
+    min(D_inc(rho), 1/2)] (README). Incoherent Clifford images are not
+    tried: they permute the vertices, so each has exactly rho's distance.
+    An image stops being solved once its upper bound falls below the best
+    lower bound so far, since it can no longer raise the maximum.
     """
     if n_trials < 0:
         raise ValueError(f"estimate_cm needs n_trials >= 0, got {n_trials}")

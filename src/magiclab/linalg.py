@@ -15,8 +15,8 @@ TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
-# States per chunk of the batch kernels that hold a (n, d, d) stack: each
-# chunk's temporaries stay a few MB, however large n is.
+# States per chunk of the Ginibre sampler `ginibre_dm_chunks`: each chunk's
+# complex temporaries stay a few MB, however large n is.
 CHUNK = 4096
 
 

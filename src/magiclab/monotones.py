@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stabilizer
-from .linalg import CHUNK, _check_dims, partial_transpose, validate_density_matrix
+from .linalg import partial_transpose, validate_density_matrix
 from .phasespace import _is_prime, striation_marginals, wigner, wigner_batch
 
 
@@ -94,15 +94,9 @@ def negativity(rho, dims):
 def negativity_batch(rhos, dims):
     """(||rho^{T_B}||_1 - 1)/2 of a matrix (d, d) or a stack (..., d, d), without
     validation and not clamped. rho^{T_A} is the transpose of rho^{T_B}, so
-    either partial transpose gives the same spectrum. The partial transpose
-    and its spectrum are taken CHUNK states at a time."""
-    rhos, dims = _check_dims(rhos, dims)
-    flat = rhos.reshape((-1,) + rhos.shape[-2:])
-    out = np.empty(len(flat))
-    for i in range(0, len(flat), CHUNK):
-        eigs = np.linalg.eigvalsh(partial_transpose(flat[i:i + CHUNK], dims, 1))
-        out[i:i + CHUNK] = (np.abs(eigs).sum(axis=-1) - 1.0) / 2.0
-    return out.reshape(rhos.shape[:-2])[()]
+    either partial transpose gives the same spectrum."""
+    eigs = np.linalg.eigvalsh(partial_transpose(rhos, dims, 1))
+    return (np.abs(eigs).sum(axis=-1) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------

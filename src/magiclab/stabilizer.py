@@ -294,7 +294,8 @@ def _newton(rhos, verts, w, support, kernel):
     (Daleckii-Krein): with A_j = U^dag v_j U, a move dw turns X by
     dX_ab = -sum_j dw_j A_j,ab (g_b - g_a)/(lam_b - lam_a) in U's basis and
     moves lam_k by -sum_j dw_j A_j,kk. An exactly singular system takes its
-    least-squares step. A state whose system or step is not finite stops
+    least-squares step: dropping that step moves the qubit-octahedron pin
+    stack_stabilizer_2. A state whose system or step is not finite stops
     moving and is marked failed. Returns (weights, c, failed).
     """
     n, d = rhos.shape[:2]

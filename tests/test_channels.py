@@ -226,7 +226,31 @@ def test_incoherent_cliffords_closed_under_product():
     monos = ch.incoherent_clifford_unitaries(3)
     for _ in range(100):
         u = monos[rng.integers(len(monos))] @ monos[rng.integers(len(monos))]
-        assert ch._is_monomial(u)
+        assert ch._incoherent(u)
+
+
+def _one_entry_per_row_and_column(u):
+    """Oracle: exactly one entry above INCOHERENT_ENTRY_TOL per column and per
+    row (a permutation times phases), per matrix of a stack."""
+    mask = np.abs(u) > ch.INCOHERENT_ENTRY_TOL
+    return np.all(mask.sum(axis=-2) == 1, axis=-1) & np.all(mask.sum(axis=-1) == 1, axis=-1)
+
+
+def test_incoherent_mask_is_the_monomial_rule_on_unitaries():
+    # a unitary's columns are unit vectors, so each has an entry of modulus
+    # >= 1/sqrt(d) above the tolerance: at most one per column is exactly one,
+    # and orthogonal one-entry columns sit in distinct rows
+    rng = np.random.default_rng(67)
+    haar = ch._haar_kraus(np.ones(200, dtype=int), 3, rng)[:, 0]
+    perms = rng.permuted(np.broadcast_to(np.arange(3), (200, 3)), axis=-1)
+    monomial = np.zeros((200, 3, 3), dtype=complex)
+    np.put_along_axis(monomial, perms[:, None, :], np.exp(2j * np.pi * rng.uniform(size=(200, 1, 3))), axis=1)
+    stacks = [st.clifford_group(2).unitaries, st.clifford_group(3).unitaries, haar, monomial]
+    assert [len(u) for u in stacks] == [24, 216, 200, 200]
+    for u in stacks:
+        assert np.allclose(u @ u.conj().swapaxes(-1, -2), np.eye(u.shape[-1]), atol=1e-12)
+        assert np.array_equal(ch._incoherent(u), _one_entry_per_row_and_column(u))
+    assert [int(ch._incoherent(u).sum()) for u in stacks] == [8, 54, 0, 200]
 
 
 @pytest.mark.parametrize("d, count", [(2, 8), (3, 54)])

@@ -367,6 +367,43 @@ def test_estimate_cm_is_a_certified_lower_bound():
         assert res.lower - 1e-9 <= est <= res.distance
 
 
+@pytest.fixture(scope="module")
+def cap_sample():
+    """1,000 Ginibre and 1,000 Haar qutrits and the cap (3/4)(1/2)||rho - I/3||_1 of each."""
+    rng = np.random.default_rng(5)
+    rhos = np.concatenate([linalg.ginibre_dm_batch(1000, 3, rng), linalg.haar_pure_batch(1000, 3, rng)])
+    return rhos, 0.375 * np.abs(np.linalg.eigvalsh(rhos - np.eye(3) / 3)).sum(axis=1)
+
+
+def test_magic_cap_a_facets_are_psd_with_trace_4():
+    # each facet sums four projectors (measured: min eigenvalue -2.2e-16, traces 4 within 9e-16)
+    facets = st.stabilizer_facets(3)
+    assert len(facets) == 81
+    assert np.linalg.eigvalsh(facets).min() >= -1e-14
+    assert np.max(np.abs(np.einsum("fii->f", facets) - 4.0)) <= 1e-14
+
+
+def test_magic_cap_b_quarter_mixture_meets_every_facet(cap_sample):
+    # tr(F (rho/4 + I/4)) = tr(F rho)/4 + 1 >= 1 (measured: smallest facet value 1.0033)
+    rhos, cap = cap_sample
+    mid = rhos / 4 + np.eye(3) / 4
+    assert st.in_polytope_batch(mid, 0.0).all()
+    half_norm = 0.5 * np.abs(np.linalg.eigvalsh(rhos - mid)).sum(axis=1)
+    assert np.max(np.abs(half_norm - cap)) <= 1e-14
+
+
+def test_magic_cap_c_certified_lower_bounds_stay_below_the_cap(cap_sample):
+    # measured: every lower bound at least 0.0067 below its cap, the largest cap 1/2 + 3e-16
+    rhos, cap = cap_sample
+    bounds, _, _, _ = st.polytope_distance_batch(rhos, st.stabilizer_pure_states(3).projectors)
+    assert np.all(bounds[:, 0] <= cap)
+    assert cap.max() <= 0.5 + 1e-12
+
+
+def test_magic_cap_d_is_reached_at_the_strange_state(named_states):
+    assert abs(mo.distance_magic(named_states["strange"]) - 0.5) <= 1e-12
+
+
 def test_all_monotones_match_the_single_functions(named_states):
     rhos = list(named_states.values()) + list(random_qutrit_batch(6, seed=55))
     for rho in rhos:
