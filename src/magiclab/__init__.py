@@ -13,8 +13,7 @@ from .monotones import (cw_coherence, distance_magic, l1_coherence,
                         lp_coherence, mana, negativity, sum_negativity)
 from .channels import (KrausChannel, apply, estimate_cm,
                        incoherent_clifford_unitaries, is_incoherent,
-                       sample_channel, sample_incoherent_channel,
-                       selective_outcomes)
+                       sample_incoherent_channel)
 from .experiments import (ExperimentConfig, coherence_magic_scatter,
                           entanglement_magic_scatter, noise_sweep, run_all)
 

@@ -6,8 +6,8 @@ Kraus stacks (..., k, d, d), and two samplers draw zero-padded stacks
 (n, k_max, d, d) with a Kraus count per trial: incoherent channels from
 permutation-supported elements (completeness restored by a diagonal
 rescaling, which keeps incoherence), generic CPTP channels by slicing Haar
-random isometries. `KrausChannel`, `apply`, `selective_outcomes` and the two
-public samplers are its validated one-channel forms.
+random isometries. `KrausChannel`, `apply` and `sample_incoherent_channel`
+are its validated one-channel forms.
 
 The audits at the bottom run all their trials as array code: magic created
 by incoherent operations is bounded by initial coherence, l_p coherence is
@@ -95,25 +95,12 @@ def _summed_images(kraus, rhos):
     return np.einsum("nkab,mbc,nkdc->nmad", kraus, rhos, kraus.conj(), optimize=True)
 
 
-def _outcomes(channel, rho):
-    """K_i rho K_i^dag, (k, d_out, d_out), for a valid rho of the channel's input dimension."""
+def apply(channel, rho):
+    """sum_i K_i rho K_i^dag, for a valid rho of the channel's input dimension."""
     rho = validate_density_matrix(rho)
     if rho.shape[0] != channel.dim_in:
         raise ValueError(f"channel expects dimension {channel.dim_in}, state has {rho.shape[0]}")
-    return _images(channel.kraus, rho)
-
-
-def apply(channel, rho):
-    """sum_i K_i rho K_i^dag."""
-    return _outcomes(channel, rho).sum(axis=0)
-
-
-def selective_outcomes(channel, rho):
-    """[(p_i, K_i rho K_i^dag / p_i)] for outcomes with p_i above PROB_FLOOR."""
-    out = _outcomes(channel, rho)
-    p = np.einsum("kii->k", out).real
-    keep = p > PROB_FLOOR
-    return list(zip(p[keep].tolist(), out[keep] / p[keep, None, None]))
+    return _images(channel.kraus, rho).sum(axis=0)
 
 
 def _incoherent(kraus):
@@ -172,12 +159,6 @@ def _isometry_kraus(g, d):
 def sample_incoherent_channel(d, n_kraus, seed=None):
     """Random incoherent channel with `n_kraus` elements (see `_incoherent_kraus`)."""
     return KrausChannel(kraus=_incoherent_kraus([n_kraus], d, rng_from(seed))[0])
-
-
-def sample_channel(d, n_kraus, seed=None):
-    """Random CPTP channel from a Haar isometry (see `_haar_kraus`); n_kraus = d*d
-    is the full-environment ensemble, n_kraus = 1 gives Haar random unitaries."""
-    return KrausChannel(kraus=_haar_kraus([n_kraus], d, rng_from(seed))[0])
 
 
 # ---------------------------------------------------------------------------

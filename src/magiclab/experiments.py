@@ -150,21 +150,16 @@ class RunReport:
 @dataclass(frozen=True)
 class StageRecord(RunReport):
     """One stage's checks, judged when it was built, with its CSV: the file
-    name and the arguments of csv_text. Each trailer value also reads as an
-    attribute, as in `coherence_magic_scatter(cfg).min_slack_pure`."""
+    name and the arguments of csv_text. Each trailer value is also set once as
+    an attribute, as in `coherence_magic_scatter(cfg).min_slack_pure`."""
     csv_name: str
     header: tuple
     blocks: dict            # label -> (n, k) array of the columns after the label
     trailer: dict           # '#' line key -> value
 
-    def __getattr__(self, name):
-        # only names that are not fields get here; reading the trailer through
-        # __dict__ lets an unpickled record, whose fields are not set yet, fail
-        # with AttributeError instead of recursing
-        try:
-            return self.__dict__["trailer"][name]
-        except KeyError:
-            raise AttributeError(name) from None
+    def __post_init__(self):
+        for key, value in self.trailer.items():
+            object.__setattr__(self, key, value)
 
     def csv(self):
         return csv_text(self.header, self.blocks.items(), self.trailer.items())

@@ -40,15 +40,15 @@ def sum_negativity_grid(w):
 
 
 def mana(rho, base=None):
-    """log(sum_u |W_u|) = log(1 + sum negativity); natural log unless `base`
-    (finite, positive and not 1) is given."""
+    """log(sum_u |W_u|) = log(1 + sum negativity), never negative; natural
+    log unless `base` (finite and greater than 1) is given."""
     return float(mana_grid(wigner(rho), base))
 
 
 def mana_grid(w, base=None):
     """Mana from a precomputed Wigner grid (or stack of grids), its sum negativity clamped at 0."""
-    if base is not None and not (0.0 < base < np.inf and base != 1.0):
-        raise ValueError(f"mana base must be finite, positive and not 1, got {base}")
+    if base is not None and not 1.0 < base < np.inf:
+        raise ValueError(f"mana base must be finite and greater than 1, got {base}")
     total = np.maximum(sum_negativity_grid(w), 0.0) + 1.0
     return np.log(total) if base is None else np.log(total) / np.log(base)
 

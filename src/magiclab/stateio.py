@@ -76,7 +76,3 @@ def dumps_state(state):
     lines.extend(",".join(_fmt_complex(z) for z in row) for row in np.atleast_2d(state))
     return "\n".join(lines) + "\n"
 
-
-def write_state(path, state):
-    with open(path, "w", newline="") as fh:
-        fh.write(dumps_state(state))

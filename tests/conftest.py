@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magiclab import experiments, linalg, phasespace, stabilizer
+from magiclab import channels, experiments, linalg, phasespace, stabilizer, stateio
 
 
 @pytest.fixture(autouse=True)
@@ -62,6 +62,25 @@ def random_pure(d, seed=None):
     rng = linalg.rng_from(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+def sample_channel(d, n_kraus, seed=None):
+    """Random CPTP channel from a Haar isometry (see `channels._haar_kraus`); n_kraus
+    = d*d is the full-environment ensemble, n_kraus = 1 gives Haar random unitaries."""
+    return channels.KrausChannel(kraus=channels._haar_kraus([n_kraus], d, linalg.rng_from(seed))[0])
+
+
+def selective_outcomes(channel, rho):
+    """[(p_i, K_i rho K_i^dag / p_i)] for outcomes with p_i above channels.PROB_FLOOR."""
+    out = channels._images(channel.kraus, linalg.validate_density_matrix(rho))
+    p = np.einsum("kii->k", out).real
+    keep = p > channels.PROB_FLOOR
+    return list(zip(p[keep].tolist(), out[keep] / p[keep, None, None]))
+
+
+def write_state(path, state):
+    with open(path, "w", newline="") as fh:
+        fh.write(stateio.dumps_state(state))
 
 
 def ginibre_dm_batch_oracle(n, d, rng):
@@ -227,8 +246,6 @@ def result1_oracle(n_trials, seed, tol):
     """result1's worst margin and violation count from two full certified
     solves of its pairs (magic of every image, coherence of every state),
     with no pruning."""
-    from magiclab import channels
-
     rhos, outcomes = channels._incoherent_outcomes(n_trials, np.random.default_rng(seed))
     images = outcomes.sum(axis=1)
     magic, _, _, _ = stabilizer.polytope_distance_batch(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magiclab import channels as ch, cli, linalg, monotones as mo, phasespace as ps, stabilizer as st
-from conftest import kraus_images_loop, result1_oracle
+from conftest import kraus_images_loop, result1_oracle, sample_channel, selective_outcomes
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -25,9 +25,7 @@ def test_kraus_rejects_non_finite_entries(bad):
     (lambda: ch.KrausChannel(kraus=np.eye(3)), r"\(k, d_out, d_in\) stack, got shape \(3, 3\)"),
     (lambda: ch.estimate_cm(np.eye(3) / 3, -1), "n_trials >= 0, got -1"),
     (lambda: ch.apply(ch.identity_channel(2), np.eye(3) / 3), "channel expects dimension 2, state has 3"),
-    (lambda: ch.selective_outcomes(ch.identity_channel(2), np.eye(3) / 3),
-     "channel expects dimension 2, state has 3"),
-], ids=["kraus_matrix", "estimate_cm_negative_trials", "apply_dimension", "selective_dimension"])
+], ids=["kraus_matrix", "estimate_cm_negative_trials", "apply_dimension"])
 def test_boundary_checks_name_the_violation(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -88,7 +86,7 @@ def test_images_match_kraus_loop():
     for k_stack, rho, images in zip(kraus, rhos, got):
         assert np.max(np.abs(images - np.array(kraus_images_loop(k_stack, rho)))) < 1e-15
     # one channel against a stack of states broadcasts to (state, element)
-    lam = ch.sample_channel(3, 4, rng)
+    lam = sample_channel(3, 4, rng)
     got = ch._images(lam.kraus, rhos)
     assert got.shape == (7, 4, 3, 3)
     for rho, images in zip(rhos, got):
@@ -108,6 +106,21 @@ def test_incoherent_outcomes_grouped_by_count_keep_the_padded_bytes(seed):
     assert outcomes.tobytes() == ch._images(kraus, padded_rhos).tobytes()
 
 
+@pytest.mark.parametrize("seed", [3, 505])
+def test_selective_audit_matches_the_one_channel_outcomes(seed):
+    # the audit's margin, max over trials of sum_i p_i C_l1(outcome_i) - C_l1(rho),
+    # from each trial's channel and state redrawn and resolved one at a time
+    n = 200
+    rng = np.random.default_rng(seed)
+    rhos = ch._mixed_and_pure(n, 3, rng)
+    counts = rng.integers(1, 10, size=n)
+    kraus = ch._incoherent_kraus(counts, 3, rng)
+    margins = [sum(p * mo.l1_coherence(out) for p, out in
+                   selective_outcomes(ch.KrausChannel(kraus[t, :counts[t]]), rhos[t]))
+               - mo.l1_coherence(rhos[t]) for t in range(n)]
+    assert abs(max(margins) - ch.selective_audit(n, seed).worst_margin) <= 1e-12
+
+
 def test_sample_incoherent_rejects_no_kraus():
     with pytest.raises(ValueError):
         ch.sample_incoherent_channel(3, 0, seed=0)
@@ -124,7 +137,7 @@ def test_apply_preserves_trace():
     rng = np.random.default_rng(62)
     for _ in range(20):
         rho = linalg.random_mixed(3, seed=rng)
-        lam = ch.sample_channel(3, int(rng.integers(1, 10)), rng)
+        lam = sample_channel(3, int(rng.integers(1, 10)), rng)
         assert abs(np.trace(ch.apply(lam, rho)).real - 1) < 1e-12
 
 
@@ -135,13 +148,13 @@ def test_apply_dim_mismatch():
 
 def test_selective_outcomes_unitary():
     rho = linalg.random_mixed(3, seed=63)
-    outs = ch.selective_outcomes(ch.unitary_channel(st.clifford_generators(3)[2]), rho)
+    outs = selective_outcomes(ch.unitary_channel(st.clifford_generators(3)[2]), rho)
     assert len(outs) == 1
     assert abs(outs[0][0] - 1) < 1e-12
 
 
 def test_selective_outcomes_dephasing_coherent(named_states):
-    outs = ch.selective_outcomes(ch.dephasing_channel(3), named_states["coherent"])
+    outs = selective_outcomes(ch.dephasing_channel(3), named_states["coherent"])
     assert len(outs) == 3
     for p, _ in outs:
         assert abs(p - 1 / 3) < 1e-12
@@ -152,7 +165,7 @@ def test_selective_outcomes_resolve_channel():
     for _ in range(10):
         rho = linalg.random_mixed(3, seed=rng)
         lam = ch.sample_incoherent_channel(3, 5, rng)
-        outs = ch.selective_outcomes(lam, rho)
+        outs = selective_outcomes(lam, rho)
         assert abs(sum(p for p, _ in outs) - 1) < 1e-10
         resolved = sum(p * s for p, s in outs)
         assert np.max(np.abs(resolved - ch.apply(lam, rho))) < 1e-10
@@ -288,7 +301,7 @@ def test_classify_flags(qubit_vertices):
 
 def test_classify_flags_non_preserving_unitary(qutrit_vertices):
     # a generic unitary moves some vertex mixture out of the polytope
-    flags = ch.classify(ch.sample_channel(3, 1, seed=5), qutrit_vertices, n_probe=20)
+    flags = ch.classify(sample_channel(3, 1, seed=5), qutrit_vertices, n_probe=20)
     assert not flags.stabilizer_preserving
     assert not flags.incoherent and not flags.genuinely_stabilizer
     with pytest.raises(ValueError):
@@ -430,7 +443,7 @@ def test_result1_margin_holds_on_channels_the_audit_never_draws(family):
 
 
 @pytest.mark.parametrize("u", [np.eye(3), np.diag([1.0, np.exp(0.3j), 1.0]),
-                               ch.sample_channel(3, 1, seed=5).kraus[0]])
+                               sample_channel(3, 1, seed=5).kraus[0]])
 def test_classify_early_stop_matches_full_solve(qutrit_vertices, u):
     # the full-solve rule: preserving iff every probe image's upper bound <= VERTEX_TOL
     tol, n_probe = st.VERTEX_TOL, 10
@@ -448,7 +461,7 @@ def test_facet_verdict_matches_the_solver_rule(qutrit_vertices):
     unitaries = [np.eye(3), st.clifford_generators(3)[2], np.diag([1.0, np.exp(0.3j), 1.0])]
     chans = ([ch.dephasing_channel(3)] + [ch.unitary_channel(u) for u in unitaries]
              + [ch.sample_incoherent_channel(3, int(rng.integers(1, 10)), rng) for _ in range(40)]
-             + [ch.sample_channel(3, int(rng.integers(1, 10)), rng) for _ in range(40)]
+             + [sample_channel(3, int(rng.integers(1, 10)), rng) for _ in range(40)]
              + [ch.unitary_channel(u) for u in st.clifford_group(3).unitaries[::7]])
     verts = qutrit_vertices.projectors
     images = np.concatenate([ch.apply(chan, v)[None] for chan in chans for v in verts])

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as hst
 
 import magiclab
 from magiclab import channels, cli, experiments, linalg, phasespace as ps, stateio
+from conftest import write_state
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -36,7 +37,7 @@ def run_main(capsys, *args):
 @pytest.fixture(scope="module")
 def strange_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("states") / "strange.txt"
-    stateio.write_state(path, linalg.strange_state())
+    write_state(path, linalg.strange_state())
     return str(path)
 
 
@@ -84,7 +85,7 @@ def test_monotones_command_with_dims(tmp_path, capsys):
     vec = np.zeros(6, dtype=complex)
     vec[0] = vec[3] = 1 / np.sqrt(2)
     path = tmp_path / "bell.txt"
-    stateio.write_state(path, linalg.dm_from_pure(vec))
+    write_state(path, linalg.dm_from_pure(vec))
     res = run_main(capsys, "monotones", "--state", str(path), "--dims", "3,2")
     assert res.returncode == 0
     values = dict(ln.split("=") for ln in res.stdout.strip().splitlines())
@@ -518,3 +519,44 @@ def test_the_library_imports_only_numpy_and_the_standard_library():
             foreign += [f"{path.name}:{node.lineno} {root}" for root in roots
                         if root not in sys.stdlib_module_names | {"numpy", "magiclab"}]
     assert foreign == []
+
+
+def test_the_library_has_no_orphans():
+    # a module-level import that its module never reads, or a module-level private
+    # function or constant that no module reads, is left over from a removal;
+    # __init__.py's imports are the package's exports
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(magiclab.__file__).parent.glob("*.py"))}
+
+    def read(tree):
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):    # module.name
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        return names
+
+    anywhere = set().union(*map(read, trees.values()))
+    orphans = []
+    for name, tree in trees.items():
+        local = read(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                orphans += [f"{name}:{node.lineno} import {b}" for b in bound
+                            if b not in local and name != "__init__.py"]
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                continue
+            orphans += [f"{name}:{node.lineno} {d}" for d in defined if d not in anywhere
+                        and (d.isupper() or d.startswith("_") and not d.startswith("__"))]
+    assert orphans == []

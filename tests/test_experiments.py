@@ -161,16 +161,20 @@ def test_coherence_scatter_pure_bound_holds():
     assert kinds == {"pure", "mixed"}
 
 
-def test_stage_records_survive_pickle_and_deepcopy():
-    # a copied or unpickled record reaches __getattr__ before its fields are
-    # set; records are not compared with ==, which raises on the array blocks
-    cfg = small_cfg(samples=200)
-    for record in (ex.coherence_magic_scatter(cfg), ex.noise_sweep(cfg)):
-        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
-            assert clone.csv() == record.csv()
-            # each trailer value, as the scatter's min_slack_pure, still reads as an attribute
-            assert {key: getattr(clone, key) for key in record.trailer} == record.trailer
-            assert not hasattr(clone, "missing")
+@pytest.mark.parametrize("name", list(ex.STAGES))
+def test_stage_records_survive_pickle_and_deepcopy(name):
+    # records are not compared with ==, which raises on the array blocks
+    record = ex.STAGES[name](small_cfg(samples=200, result1_trials=20, lp_trials=20,
+                                       selective_trials=20, gso_trials=20))
+    # __post_init__ sets each trailer value as an attribute, so a key naming a
+    # field or method would shadow it
+    members = {field.name for field in dataclasses.fields(record)} | set(dir(ex.StageRecord))
+    assert not members & set(record.trailer)
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert clone.csv() == record.csv()
+        # each trailer value, as the scatter's min_slack_pure, still reads as an attribute
+        assert {key: getattr(clone, key) for key in record.trailer} == record.trailer
+        assert not hasattr(clone, "missing")
 
 
 def test_entanglement_examples():

@@ -3,7 +3,7 @@ import pytest
 
 from magiclab import channels, linalg, monotones as mo
 from conftest import (ginibre_dm_batch_oracle, haar_pure_batch_oracle, is_density_matrix,
-                      random_pure, trace_distance)
+                      random_pure, sample_channel, trace_distance)
 
 
 def test_dm_from_pure_basis():
@@ -278,7 +278,7 @@ def test_trace_distance_contractive_under_channels():
     for _ in range(100):
         rho = linalg.random_mixed(3, seed=rng)
         sigma = linalg.random_mixed(3, seed=rng)
-        lam = channels.sample_channel(3, int(rng.integers(1, 10)), rng)
+        lam = sample_channel(3, int(rng.integers(1, 10)), rng)
         before = trace_distance(rho, sigma)
         after = trace_distance(channels.apply(lam, rho), channels.apply(lam, sigma))
         assert after <= before + 1e-10

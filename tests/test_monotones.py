@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from magiclab import (channels, cli, linalg, monotones as mo, phasespace as ps,
-                      stabilizer as st, stateio)
+from magiclab import channels, cli, linalg, monotones as mo, phasespace as ps, stabilizer as st
 from conftest import (cw_grid_oracle, cw_lp_oracle, negativity_batch_oracle, random_pure,
-                      random_qutrit_batch)
+                      random_qutrit_batch, write_state)
 
 
 def test_sum_negativity_named(named_states):
@@ -56,22 +55,23 @@ def test_scalar_negativity_is_exactly_zero_on_the_maximally_mixed_qutrit(tmp_pat
     values = {r.name: r.value for r in mo.all_monotones(mixed)}
     assert values["sum_negativity"] == values["mana"] == 0.0
     path = tmp_path / "mixed.txt"
-    stateio.write_state(path, mixed)
+    write_state(path, mixed)
     assert cli.main(["wigner", "--state", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "# sum_negativity=0 mana=0"
 
 
-@pytest.mark.parametrize("base", [1, 1.0, 0.0, -2.0, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("base", [1, 1.0, 0.5, 0.0, -2.0, np.inf, -np.inf, np.nan])
 def test_mana_rejects_bases_without_a_logarithm(named_states, base):
+    # a base below 1 would make mana, the logarithm of a 1-norm >= 1, negative
     with pytest.raises(ValueError, match="mana base"):
         mo.mana(named_states["strange"], base=base)
 
 
-@pytest.mark.parametrize("base", ["1", "-2", "0", "nan", "inf"])
+@pytest.mark.parametrize("base", ["1", "0.5", "-2", "0", "nan", "inf"])
 def test_cli_wigner_rejects_mana_base_without_a_logarithm(tmp_path, capsys, base):
     # in-process, so the error path costs no interpreter start
     path = tmp_path / "mixed.txt"
-    stateio.write_state(path, linalg.maximally_mixed(3))
+    write_state(path, linalg.maximally_mixed(3))
     assert cli.main(["wigner", "--state", str(path), f"--mana-base={base}"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: mana base")

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from magiclab import linalg, stateio
-from conftest import random_pure
+from conftest import random_pure, write_state
 
 
 def test_pure_state_round_trip(tmp_path):
     psi = random_pure(3, seed=70)
     path = tmp_path / "pure.txt"
-    stateio.write_state(path, psi)
+    write_state(path, psi)
     back = stateio.load_state(path)
     assert back.ndim == 1
     assert np.array_equal(back, psi)
@@ -18,7 +18,7 @@ def test_pure_state_round_trip(tmp_path):
 def test_density_matrix_round_trip(tmp_path):
     rho = linalg.random_mixed(3, seed=71)
     path = tmp_path / "dm.txt"
-    stateio.write_state(path, rho)
+    write_state(path, rho)
     back = stateio.load_state(path)
     assert back.ndim == 2
     assert np.array_equal(back, rho)
