@@ -61,9 +61,14 @@ closes to rounding. The polished weights are kept only if they are
 feasible, lower no upper bound and close the bracket against that X with
 c clipped into the ball; else ADMM goes on untouched. On Haar and Ginibre
 qutrits this takes the sweeps to certify from 30 at p50 to 10, the first
-read, on both vertex sets. A solve with a rule is not polished: its states
-mostly stop by the rule at sweeps 1 and 2, and its iterates, and so the
-audit's bits, stay those of plain ADMM.
+read, on both vertex sets. Over vertices whose Gram matrix is I, such as the
+basis projectors, a plain solve also polishes before sweep 1, from the
+Frobenius-nearest weights: the simplex projection of tr(v_i rho), diag(rho)
+for the basis. 2,839 of 3,000 Ginibre and 1,274 of 3,000 Haar qutrits
+certify there at 0 sweeps, and a one-state basis solve takes 0.95 ms at p50
+on a 2-vCPU VM, not 1.6 to 2.8; the rest start ADMM as before. A solve with
+a rule is not polished: its states mostly stop by the rule at sweeps 1 and
+2, and its iterates, and so the audit's bits, stay those of plain ADMM.
 
 `incoherent_distance` and `monotones.distance_magic` solve only the states
 with no exact value. For diagonal sigma, rho - sigma is traceless with
@@ -248,7 +253,8 @@ class PolytopeResult:
     at `weights`, `lower` the dual certificate, and `certified` means
     gap = distance - lower closed to within the solver's tolerance. The two
     bounds are separate float sums, so at an exact optimum the gap can read
-    a rounding-level negative value.
+    a rounding-level negative value. `iterations` counts ADMM sweeps, 0 for
+    a state certified before sweep 1.
     """
     distance: float
     lower: float
@@ -337,7 +343,8 @@ def _newton(rhos, verts, w, support, kernel):
         try:
             move = np.linalg.solve(jac, res[..., None])[..., 0]
         except np.linalg.LinAlgError:  # det is 0 exactly where the LU meets a zero pivot
-            singular = np.linalg.det(jac) == 0.0
+            with np.errstate(divide="ignore"):  # det's log of a zero pivot
+                singular = np.linalg.det(jac) == 0.0
             move = np.zeros_like(res)
             move[~singular] = np.linalg.solve(jac[~singular], res[~singular, :, None])[..., 0]
             move[singular] = (np.linalg.pinv(jac[singular]) @ res[singular, :, None])[..., 0]
@@ -373,7 +380,8 @@ def _polish(rhos, verts, vdual, w, bounds):
         if len(todo) == 0:
             break
         wp, c, failed = _newton(rhos[todo], verts, start[todo], support[todo], kernel)
-        keep = ~failed & (wp.min(axis=1) >= -1e-12)
+        total = np.maximum(wp, 0.0).sum(axis=1)  # a clipped row summing to 0 cannot be renormalised
+        keep = ~failed & (wp.min(axis=1) >= -1e-12) & (total > 0.0) & (total < np.inf)
         todo, wp, c = todo[keep], np.maximum(wp[keep], 0.0), c[keep]
         if len(todo) == 0:
             continue
@@ -404,11 +412,12 @@ def _admm(rhos, vertices, decisive):
     stop. The penalty tau keeps its 10-sweep schedule, so an extra read
     changes only when a state stops, never its iterates; a plain solve
     skips them, since a read costs 1 to 2.4 sweeps on qutrits and a state
-    needs tens of sweeps to certify. At each read a plain solve also tries
-    :func:`_polish` on its open states; a state whose polish is accepted
-    stops there, certified, with the polished weights. The active states'
-    iterates stay compacted between reads, where the set shrinks and the
-    weights and sweep counts are written back.
+    needs tens of sweeps to certify. At each read, and over orthonormal
+    vertices before sweep 1, a plain solve also tries :func:`_polish` on
+    its open states; a state whose polish is accepted stops there,
+    certified, with the polished weights. The active states' iterates stay
+    compacted between reads, where the set shrinks and the weights and
+    sweep counts are written back.
     """
     rhos = np.ascontiguousarray(rhos, dtype=complex)
     verts = np.asarray(vertices, dtype=complex)
@@ -422,8 +431,12 @@ def _admm(rhos, vertices, decisive):
     bounds = np.tile([0.0, np.inf], (n, 1))  # [lower, upper]
     iters = np.zeros(n, dtype=int)
     certified = np.zeros(n, dtype=bool)
+    if not decisive and np.array_equal(gram, np.eye(m)):  # polish the Frobenius-nearest weights
+        w0 = _project_simplex_batch((rhos.reshape(n, d * d) @ vdual).real)
+        certified, w[certified], bounds[certified] = _polish(rhos, verts, vdual, w0, bounds)
     # the active states' weights, dual, penalty and state; delta = rho - Vw
-    active, wa, ya, ta, ra = np.arange(n), w, np.zeros_like(rhos), np.ones((n, 1, 1)), rhos
+    active = np.flatnonzero(~certified)
+    wa, ya, ta, ra = w[active], np.zeros_like(rhos[active]), np.ones((len(active), 1, 1)), rhos[active]
     delta = None
 
     for sweep in range(1, MAX_ITER + 1):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from magiclab import channels, cli, linalg, monotones as mo, phasespace as ps, stabilizer as st
 from conftest import (cw_grid_oracle, cw_lp_oracle, negativity_batch_oracle, random_pure,
@@ -498,9 +498,21 @@ def test_monomial_cliffords_permute_the_non_vertical_line_sums(named_states):
 _entries = hst.lists(hst.floats(min_value=-1.0, max_value=1.0), min_size=9, max_size=9)
 
 
+def _one_entry(k, value):
+    """Nine matrix entries, all 0 but entry k."""
+    return [value if i == k else 0.0 for i in range(9)]
+
+
 @settings(max_examples=12, deadline=None)
 @given(re=_entries, im=_entries, mix=hst.floats(min_value=0.0, max_value=1.0),
        p=hst.sampled_from([1.5, 2.0, 3.0]))
+# two draws hypothesis found: on the basis vertices the first made the polish
+# renormalise clipped weights summing to 0, the second made the Newton step's
+# singular-row test warn in det; either warning failed the test (the polish
+# before sweep 1 now certifies both stacks, so test_stabilizer's
+# test_the_polish_at_a_read_stays_silent solves them without it)
+@example(re=_one_entry(6, 0.12685446644224663), im=_one_entry(3, 1e-14), mix=0.5, p=1.5)
+@example(re=_one_entry(6, 0.5), im=_one_entry(3, 1e-14), mix=0.5, p=1.5)
 def test_monotones_invariant_under_monomial_cliffords(qutrit_vertices, re, im, mix, p):
     g = np.reshape(re, (3, 3)) + 1j * np.reshape(im, (3, 3))
     gram = g @ g.conj().T

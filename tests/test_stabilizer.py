@@ -316,7 +316,7 @@ def test_polytope_distance_random_vs_slsqp(qutrit_vertices):
 @pytest.mark.parametrize("d, kind", [(3, "stabilizer"), (3, "basis"), (2, "stabilizer"), (2, "basis")])
 def test_stabilizer_solve_sweep_budget(d, kind):
     # sweep-count regression guard for the certificate: 1,000 states all
-    # certify within 300 sweeps (the slowest take 140, 20, 110 and 40; 170,
+    # certify within 300 sweeps (the slowest take 140, 20, 110 and 0; 170,
     # 140, 110 and 50 without the plain solves' polish)
     rng = np.random.default_rng(2024)
     rhos = np.concatenate([linalg.ginibre_dm_batch(500, d, rng), linalg.haar_pure_batch(500, d, rng)])
@@ -329,6 +329,16 @@ def test_stabilizer_solve_sweep_budget(d, kind):
 def _accept_no_polish(rhos, verts, vdual, w, bounds):
     """A stand-in for `stabilizer._polish` that accepts no polished weights."""
     return np.zeros(len(rhos), dtype=bool), w[:0], bounds[:0]
+
+
+_POLISH = st._polish
+
+
+def _no_start_polish(rhos, verts, vdual, w, bounds):
+    """`stabilizer._polish` with the basis set's polish before sweep 1 (the
+    one call whose brackets are all [0, inf]) accepting nothing."""
+    at_start = np.isinf(bounds[:, 1]).all()
+    return (_accept_no_polish if at_start else _POLISH)(rhos, verts, vdual, w, bounds)
 
 
 @pytest.mark.parametrize("kind", ["stabilizer", "basis"])
@@ -385,8 +395,48 @@ def test_polish_stops_no_later_and_agrees_with_admm(monkeypatch, d, kind):
     both = certified & certified0
     assert np.all(bounds[both, 0] <= bounds0[both, 1] + tol)
     assert np.all(bounds0[both, 0] <= bounds[both, 1] + tol)
-    if d == 3:  # most qutrits certify at the first read
-        assert np.median(iters) == 10 < np.median(iters0)
+    if d == 3:  # most qutrits certify before sweep 1 on the basis set, at the first read on the other
+        assert np.median(iters) == {"basis": 0, "stabilizer": 10}[kind] < np.median(iters0)
+
+
+@pytest.mark.parametrize("d", [3, 4])  # at d = 2 it accepts every state
+def test_a_rejected_start_polish_leaves_admm_untouched(monkeypatch, d):
+    # the basis set's polish before sweep 1 (the only read whose brackets are
+    # all [0, inf]) stops the states it accepts at 0 sweeps; every state it
+    # rejects keeps its bounds, weights and sweep count bit for bit against
+    # the same solve where that polish accepts nothing
+    rng = np.random.default_rng(1818)
+    rhos = np.concatenate([linalg.haar_pure_batch(150, d, rng), linalg.ginibre_dm_batch(150, d, rng)])
+    verts = st.basis_projectors(d)
+    bounds, w, iters, certified = st.polytope_distance_batch(rhos, verts)
+    monkeypatch.setattr(st, "_polish", _no_start_polish)
+    bounds0, w0, iters0, certified0 = st.polytope_distance_batch(rhos, verts)
+    rejected = iters > 0
+    assert 0 < rejected.sum() < len(rhos) and np.all(iters0 > 0)
+    assert certified[~rejected].all()
+    assert bounds[rejected].tobytes() == bounds0[rejected].tobytes()
+    assert w[rejected].tobytes() == w0[rejected].tobytes()
+    assert np.array_equal(iters[rejected], iters0[rejected])
+    assert np.array_equal(certified[rejected], certified0[rejected])
+
+
+@pytest.mark.parametrize("re6", [0.12685446644224663, 0.5])
+def test_the_polish_at_a_read_stays_silent(monkeypatch, re6):
+    # the 55 monomial-Clifford images of one mixed qutrit, a draw of
+    # test_monotones_invariant_under_monomial_cliffords: solved on the basis
+    # set by ADMM from the uniform weights, their polish at a read met clipped
+    # weights summing to 0 (re6 = 0.1268...) and an exactly singular Newton
+    # system (re6 = 0.5), which warned in a divide and in det
+    g = np.zeros((3, 3), dtype=complex)
+    g[2, 0], g[1, 0] = re6, 1e-14j
+    gram = g @ g.conj().T
+    rho = (1 - 0.5) * gram / np.trace(gram).real + 0.5 * np.eye(3) / 3
+    us = channels.incoherent_clifford_unitaries(3)
+    stack = np.concatenate([rho[None], us @ rho @ us.conj().transpose(0, 2, 1)])
+    monkeypatch.setattr(st, "_polish", _no_start_polish)
+    bounds, _, iters, certified = st.polytope_distance_batch(stack, st.basis_projectors(3))
+    assert certified.all() and iters.min() >= 10
+    assert bounds[:, 0].max() <= bounds[:, 1].min() + 1e-12
 
 
 def test_polish_certifies_the_basis_set_tail():
@@ -434,9 +484,9 @@ def _solver_digests(monkeypatch):
 
 SOLVER_DIGESTS = {
     "stack_stabilizer_2": "b77eaa995a99867a1fbc5f6c11889637dc493d6540243f0e2ee203bef168ddc4",
-    "stack_basis_2": "d18d35ce0fbf432047be5cba7edd508e9ad1175be064337dd90e75c4c512e4b3",
+    "stack_basis_2": "45de35c5552c650b60aac96ace22945e12546677e9bc9d17c9d4d87172f5d186",
     "stack_stabilizer_3": "0f0f07dd47ba21610371aed2dbb130c15a8bad21544fd0225aae6e1c523de63f",
-    "stack_basis_3": "2233fad0f3c6a9b4ae09e82efdc4f7ce73e1da013f374417395b176b7faf5a61",
+    "stack_basis_3": "afd22d1a431c55656e209203c082c1cdce0838537751f4fb5a1455fc9cf3cd1c",
     "one_state": "94353273eaf5ddfe097ace870a3d267c45c6da72900e76b29126c5ac2e55dff7",
     "result1": "a8db1346e1fccc4048f3014ca3c73deefb289bf90ccf411518f36211ecd26ae3",
 }
