@@ -15,8 +15,9 @@ monotone under the incoherent stabilizer protocol, l1 is a strong monotone
 under selective incoherent measurements, and only the identity fixes every
 stabilizer state. Clifford unitaries come from `stabilizer.clifford_group`.
 
-`classify` gives all hierarchy flags of a channel at once; it reads
-stabilizer preservation off the polytope's facets.
+`classify` gives all hierarchy flags of a channel at once from its vertex
+images: stabilizer preservation off the polytope's facets, and the rest off
+one match of images to vertices (Gross 2006).
 `estimate_cm` and the result1 audit solve distances only as far as their
 question needs: each state stops once its certified bracket decides the
 answer (result1 branches and bounds on the margin of each pair), and every
@@ -59,14 +60,6 @@ class KrausChannel:
         if err > COMPLETENESS_ATOL:
             raise ValueError(f"Kraus completeness violated: max |sum K^dag K - I| = {err:.3e}")
 
-    @property
-    def dim_in(self):
-        return self.kraus.shape[2]
-
-    @property
-    def dim_out(self):
-        return self.kraus.shape[1]
-
 
 def unitary_channel(u):
     """Wrap a unitary as a single-Kraus channel."""
@@ -98,8 +91,9 @@ def _summed_images(kraus, rhos):
 def apply(channel, rho):
     """sum_i K_i rho K_i^dag, for a valid rho of the channel's input dimension."""
     rho = validate_density_matrix(rho)
-    if rho.shape[0] != channel.dim_in:
-        raise ValueError(f"channel expects dimension {channel.dim_in}, state has {rho.shape[0]}")
+    d_in = channel.kraus.shape[2]
+    if rho.shape[0] != d_in:
+        raise ValueError(f"channel expects dimension {d_in}, state has {rho.shape[0]}")
     return _images(channel.kraus, rho).sum(axis=0)
 
 
@@ -172,10 +166,10 @@ def incoherent_clifford_unitaries(d):
     return group[_incoherent(group)]
 
 
-def _fixes_vertices(images, verts):
-    """Whether max |image - vertex| <= stabilizer.VERTEX_TOL over the last
-    three axes of the vertex images (..., m, d, d)."""
-    return np.max(np.abs(images - verts), axis=(-3, -2, -1)) <= stabilizer.VERTEX_TOL
+def _is_vertex(images, verts):
+    """Whether max |image - vertex| <= stabilizer.VERTEX_TOL over the last two
+    axes, per broadcast pair of matrices."""
+    return np.max(np.abs(images - verts), axis=(-2, -1)) <= stabilizer.VERTEX_TOL
 
 
 @dataclass(frozen=True)
@@ -188,23 +182,25 @@ class HierarchyFlags:
 
 
 def classify(channel, vertex_set, seed=0, n_probe=50):
-    """Hierarchy flags for a channel. A single Kraus matrix is an incoherent
-    Clifford unitary iff it is incoherent and in the enumerated group, modulo
-    phase. Stabilizer preservation is decided exactly from the vertex images,
-    since the channel is linear and the polytope is the vertices' hull: the
-    channel is preserving iff every image passes `stabilizer.in_polytope_batch`
-    and genuinely stabilizer iff every image is its vertex, both within the
-    slack `stabilizer.VERTEX_TOL`. `seed` and `n_probe` have no effect."""
-    d = vertex_set.dim
-    if not channel.dim_in == channel.dim_out == d:
-        raise ValueError(f"channel maps {channel.dim_in} -> {channel.dim_out}, "
-                         f"vertices have dimension {d}")
+    """Hierarchy flags for a channel, read off its vertex images. It is
+    stabilizer preserving iff every image passes `stabilizer.in_polytope_batch`
+    (the channel is linear and the polytope is the vertices' hull). From the
+    match [i, j], image i is vertex j (`_is_vertex`): genuinely stabilizer iff
+    every image is its own vertex, and an incoherent unitary is Clifford iff
+    every image is some vertex, since for d in {2, 3} the Clifford group modulo
+    phase is exactly the unitaries that permute the stabilizer states (Gross,
+    J. Math. Phys. 47, 122107, 2006). `seed` and `n_probe` have no effect."""
+    verts = vertex_set.projectors
+    d, (d_out, d_in) = verts.shape[-1], channel.kraus.shape[1:]
+    if not d_in == d_out == d:
+        raise ValueError(f"channel maps {d_in} -> {d_out}, vertices have dimension {d}")
     incoh = is_incoherent(channel)
-    clifford = incoh and len(channel.kraus) == 1 and channel.kraus[0] in stabilizer.clifford_group(d)
-    images = _images(channel.kraus, vertex_set.projectors).sum(axis=1)
+    images = _images(channel.kraus, verts).sum(axis=1)
+    match = _is_vertex(images[:, None], verts)
+    clifford = incoh and len(channel.kraus) == 1 and bool(match.any(axis=1).all())
     return HierarchyFlags(incoherent=incoh, incoherent_clifford_unitary=clifford,
                           stabilizer_preserving=bool(stabilizer.in_polytope_batch(images).all()),
-                          genuinely_stabilizer=bool(_fixes_vertices(images, vertex_set.projectors)))
+                          genuinely_stabilizer=bool(np.diagonal(match).all()))
 
 
 def estimate_cm(rho, n_trials, seed=None):
@@ -384,7 +380,7 @@ def gso_audit(n_trials, seed):
     counts = rng.integers(1, 5, size=n_trials)
     kraus = _haar_kraus(counts, 2, rng)
     images = _summed_images(kraus, verts)  # (n, vertex, 2, 2)
-    fixes = _fixes_vertices(images, verts)
+    fixes = _is_vertex(images, verts).all(axis=-1)
     # a unitary equal to the identity up to phase fixes everything; skip those
     u = kraus[:, 0]
     trivial = (counts == 1) & (np.max(np.abs(u - u[:, :1, :1] * np.eye(2)), axis=(1, 2)) < 1e-9)

@@ -59,14 +59,11 @@ sign witness with a free c on the kernel is an optimal dual whenever the
 residual's kernel is at most 1-d, so at the polished weights the bracket
 closes to rounding. The polished weights are kept only if they are
 feasible, lower no upper bound and close the bracket against that X with
-c clipped into the ball; else ADMM goes on untouched. On Haar and Ginibre
-qutrits this takes the sweeps to certify from 30 at p50 to 10, the first
-read, on both vertex sets. Over vertices whose Gram matrix is I, such as the
-basis projectors, a plain solve also polishes before sweep 1, from the
-Frobenius-nearest weights: the simplex projection of tr(v_i rho), diag(rho)
-for the basis. 2,839 of 3,000 Ginibre and 1,274 of 3,000 Haar qutrits
-certify there at 0 sweeps, and a one-state basis solve takes 0.95 ms at p50
-on a 2-vCPU VM, not 1.6 to 2.8; the rest start ADMM as before. A solve with
+c clipped into the ball; else ADMM goes on untouched. Over vertices whose
+Gram matrix is I, such as the basis projectors, a plain solve also polishes
+before sweep 1, from the Frobenius-nearest weights: the simplex projection
+of tr(v_i rho), diag(rho) for the basis, which is often already optimal.
+The states it leaves open start ADMM from the uniform weights. A solve with
 a rule is not polished: its states mostly stop by the rule at sweeps 1 and
 2, and its iterates, and so the audit's bits, stay those of plain ADMM.
 
@@ -85,7 +82,6 @@ rounding of tr(F rho). Boundary states, such as the vertices, are solved.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
-from types import MappingProxyType
 
 import numpy as np
 
@@ -134,11 +130,6 @@ class CliffordGroup:
     """Single-qudit Clifford unitaries modulo global phase, in BFS order."""
     unitaries: np.ndarray  # (n, d, d)
     words: tuple           # generator word of each element, "" for the identity
-    index: MappingProxyType  # phase key -> position
-
-    def __contains__(self, u):
-        """Whether the unitary u is a group element up to global phase."""
-        return _phase_key(np.asarray(u)) in self.index
 
 
 @lru_cache(maxsize=None)
@@ -149,24 +140,23 @@ def clifford_group(d):
         raise ValueError(f"Clifford enumeration supports d in {{2, 3}}, got {d}")
     gens = clifford_generators(d)
     group, words = [np.eye(d, dtype=complex)], [""]
-    index = {_phase_key(group[0]): 0}
+    seen = {_phase_key(group[0])}
     for i, u in enumerate(group):  # the list is the BFS queue: it grows while walked
         for name, g in zip(GENERATOR_NAMES, gens):
             v = g @ u
             key = _phase_key(v)
-            if key not in index:
-                index[key] = len(group)
+            if key not in seen:
+                seen.add(key)
                 group.append(v)
                 words.append(name + words[i])
     unitaries = np.array(group)
     unitaries.setflags(write=False)
-    return CliffordGroup(unitaries=unitaries, words=tuple(words), index=MappingProxyType(index))
+    return CliffordGroup(unitaries=unitaries, words=tuple(words))
 
 
 @dataclass(frozen=True)
 class StabilizerVertexSet:
     """Pure stabilizer projectors for one dimension, with generator provenance."""
-    dim: int
     kets: np.ndarray        # (n, d), phase-canonical
     projectors: np.ndarray  # (n, d, d)
     words: tuple            # generator word producing each vertex, e.g. "FX|0>"
@@ -191,7 +181,7 @@ def stabilizer_pure_states(d):
     projectors = np.einsum("ni,nj->nij", kets, kets.conj())
     kets.setflags(write=False)
     projectors.setflags(write=False)
-    _vertex_cache[d] = StabilizerVertexSet(dim=d, kets=kets, projectors=projectors,
+    _vertex_cache[d] = StabilizerVertexSet(kets=kets, projectors=projectors,
                                            words=tuple(group.words[i] + "|0>" for i in picked))
     return _vertex_cache[d]
 

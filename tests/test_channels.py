@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -320,10 +321,39 @@ def test_classify_flags_non_clifford_phase_gate(qutrit_vertices):
     assert st.polytope_distance(image, qutrit_vertices).lower > 0.1
 
 
-def test_classify_clifford_flag_is_group_membership(qutrit_vertices):
-    for u in ch.incoherent_clifford_unitaries(3)[::9]:
-        flags = ch.classify(ch.unitary_channel(u), qutrit_vertices, n_probe=2)
-        assert flags.incoherent_clifford_unitary and flags.stabilizer_preserving
+def _monomial_lattice(d, rng):
+    # every permutation times diag(1, e^{2 pi i k/36}, ...), times a random global phase; it holds
+    # every monomial Clifford, whose relative phases are 4th (d = 2) or 3rd (d = 3) roots of unity
+    lattice = []
+    for perm in itertools.permutations(range(d)):
+        for ks in itertools.product(range(36), repeat=d - 1):
+            u = np.zeros((d, d), dtype=complex)
+            u[list(perm), range(d)] = np.exp(2j * np.pi * np.array((0, *ks)) / 36)
+            lattice.append(u)
+    return np.array(lattice) * np.exp(2j * np.pi * rng.uniform(size=(len(lattice), 1, 1)))
+
+
+def test_classify_clifford_flag_is_group_membership():
+    # the vertex-image rule agrees with membership modulo phase in the enumerated group
+    for d, n, count in ((2, 72, 8), (3, 7776, 54)):
+        group = {st._phase_key(u) for u in st.clifford_group(d).unitaries}
+        vertices = st.stabilizer_pure_states(d)
+        lattice = _monomial_lattice(d, np.random.default_rng(d))
+        assert len(lattice) == n
+        flags = [ch.classify(ch.unitary_channel(u), vertices) for u in lattice]
+        member = [st._phase_key(u) in group for u in lattice]
+        assert [f.incoherent_clifford_unitary for f in flags] == member
+        assert sum(member) == count
+        assert all(f.incoherent and (f.stabilizer_preserving or not m) for f, m in zip(flags, member))
+
+
+def test_classify_clifford_flag_ignores_global_phase():
+    # each monomial Clifford under a global phase e^{2 pi i k/7} is still flagged
+    for d in (2, 3):
+        monos = ch.incoherent_clifford_unitaries(d)
+        phases = np.exp(2j * np.pi * np.arange(len(monos)) / 7)
+        assert all(ch.classify(ch.unitary_channel(p * u), st.stabilizer_pure_states(d))
+                   .incoherent_clifford_unitary for p, u in zip(phases, monos))
 
 
 AUDITS_AND_CW = dict(ch.AUDIT_SUITES, cw_contractivity=ch.cw_contractivity_audit)
