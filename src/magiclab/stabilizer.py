@@ -53,13 +53,15 @@ its open states, as OSQP polishes its ADMM solutions (Stellato et al.,
 Math. Prog. Comp. 12, 637, 2020): with the support S = {w_i > 1e-7} fixed,
 a few Newton steps solve the optimality conditions on the smooth manifold
 of that structure (the U-Newton step of Mifflin & Sagastizabal, Math.
-Program. 104, 583, 2005), first for a residual with a 1-d kernel, where
-X = (P+ - P-)/2 + c ee^dag, then for one with none, where X = sign/2. The
-sign witness with a free c on the kernel is an optimal dual whenever the
-residual's kernel is at most 1-d, so at the polished weights the bracket
-closes to rounding. The polished weights are kept only if they are
-feasible, lower no upper bound and close the bracket against that X with
-c clipped into the ball; else ADMM goes on untouched. Over vertices whose
+Program. 104, 583, 2005) for a residual with a 1-d kernel, where
+X = (P+ - P-)/2 + c ee^dag, and for one with none, where X = sign/2: both,
+in one stack, with the Jacobian built from the vertex kets (only
+approximate over vertices that are not rank one). The sign witness with a
+free c on the kernel is an optimal dual whenever the residual's kernel is
+at most 1-d, so at the polished weights the bracket closes to rounding.
+The polished weights are kept only if they are feasible, lower no upper
+bound and close the bracket against that X with c clipped into the ball;
+else ADMM goes on untouched. Over vertices whose
 Gram matrix is I, such as the basis projectors, a plain solve also polishes
 before sweep 1, from the Frobenius-nearest weights: the simplex projection
 of tr(v_i rho), diag(rho) for the basis, which is often already optimal.
@@ -204,8 +206,9 @@ def in_polytope_batch(rhos, tol=VERTEX_TOL):
     """Polytope membership per matrix of a (..., d, d) stack, unvalidated: min
     tr(F rho) >= 1 - tol over the `stabilizer_facets` F. `tol` is a facet slack;
     a violation s puts rho at trace distance >= s / sqrt(5) from the polytope."""
-    facets = stabilizer_facets(np.shape(rhos)[-1])
-    return np.einsum("fij,...ji->...f", facets, rhos).real.min(axis=-1) >= 1.0 - tol
+    rhos = np.asarray(rhos)
+    flat = stabilizer_facets(rhos.shape[-1]).conj().reshape(-1, rhos.shape[-1] ** 2)  # conj(F) = F^T
+    return (rhos.reshape(*rhos.shape[:-2], flat.shape[1]) @ flat.T).real.min(axis=-1) >= 1.0 - tol
 
 
 def basis_projectors(d):
@@ -263,7 +266,7 @@ def _dual_bound(rhos, u, lam, vdual):
     """L(X) = tr(X rho) - max_i tr(X v_i) at X = u diag(lam) u^dag, per state;
     a lower bound on the distance whenever every |lam| <= 1/2."""
     x = _from_eigh(u, lam)
-    at_verts = (x.reshape(len(x), -1) @ vdual).real
+    at_verts = (x.reshape(-1, len(vdual)) @ vdual).real
     return np.einsum("nij,nji->n", x, rhos).real - at_verts.max(axis=1)
 
 
@@ -278,67 +281,74 @@ _SUPPORT_CUT = 1e-7  # a plain solve's polish fixes the support {w_i > _SUPPORT_
 _POLISH_STEPS = 4    # Newton steps per assumed residual structure
 
 
-def _newton(rhos, verts, w, support, kernel):
+def _kets(verts):
+    """A ket phi_j with v_j = phi_j phi_j^dag for each rank-one vertex: v_j's
+    column at its largest diagonal entry, normalised."""
+    cols = verts[np.arange(len(verts)), :, verts.diagonal(axis1=1, axis2=2).real.argmax(axis=1)]
+    return cols / np.maximum(np.linalg.norm(cols, axis=1, keepdims=True), np.finfo(float).tiny)
+
+
+def _newton(rhos, vflat, kets, w, support, kernel):
     """`_POLISH_STEPS` Newton steps on the KKT system of a fixed support S and
-    residual structure, for a stack of states at once.
+    residual structure, for a stack of rows at once.
 
     With Delta = rho - Vw = U diag(lam) U^dag and X = U diag(g) U^dag,
-    g = sign(lam)/2, the unknowns are w, mu and, if `kernel`, the
+    g = sign(lam)/2, the unknowns are w, mu and, on a `kernel` row, the
     coefficient c = g_k of the eigenvalue lam_k nearest 0. The equations are
-    tr(X v_i) = mu for i in S, sum(w) = 1 and, if `kernel`, lam_k = 0; the
-    weights off S are held at 0 by identity rows. The Jacobian is analytic
-    (Daleckii-Krein): with A_j = U^dag v_j U, a move dw turns X by
-    dX_ab = -sum_j dw_j A_j,ab (g_b - g_a)/(lam_b - lam_a) in U's basis and
-    moves lam_k by -sum_j dw_j A_j,kk. An exactly singular system takes its
-    least-squares step: dropping that step moves the qubit-octahedron pin
-    stack_stabilizer_2. A state whose system or step is not finite stops
-    moving and is marked failed. Returns (weights, c, failed).
+    tr(X v_i) = mu for i in S, sum(w) = 1 and, on a kernel row, lam_k = 0;
+    the weights off S are held at 0 by identity rows. The Jacobian is
+    analytic (Daleckii-Krein), from the vertex kets (approximate where a
+    vertex is not rank one): with A_j = U^dag v_j U = y_j y_j^dag and
+    y_j = U^dag phi_j, a move dw turns X by dX_ab = -sum_j dw_j A_j,ab
+    (g_b - g_a)/(lam_b - lam_a) in U's basis and moves lam_k by
+    -sum_j dw_j A_j,kk. With no kernel that block has rank <= r, the count
+    of nonzero quotients (2pq, p and q the positive and negative
+    eigenvalues), so a row with |S| > r + 1 is singular: it is marked failed
+    before its solve, as is a row whose system or step is not finite or
+    whose system is singular otherwise (a diverging row, a degenerate
+    kernel). A failed row stops moving. Returns (weights, c, failed).
     """
     n, d = rhos.shape[:2]
-    m = len(verts)
-    vflat = verts.reshape(m, d * d)
+    m = len(kets)
     on = support.astype(float)
-    rows = np.arange(n)
+    rows = np.flatnonzero(kernel)  # the kernel rows
     jac = np.zeros((n, m + 2, m + 2))
     jac[:, np.arange(m), np.arange(m)] = 1.0 - on
     jac[:, :m, m] = -on
     jac[:, m, :m] = 1.0
-    jac[:, m + 1, m + 1] = 0.0 if kernel else 1.0
+    jac[:, m + 1, m + 1] = ~kernel
     ident = jac[:, :m, :m].copy()
     res = np.zeros((n, m + 2))
     mu, c = np.zeros(n), np.zeros(n)
     failed = np.zeros(n, dtype=bool)
+    cap = np.where(kernel, 0, support.sum(axis=1) - 1)  # a no-kernel row needs r >= |S| - 1
     for step in range(_POLISH_STEPS):
         lam, u = np.linalg.eigh(rhos - (w @ vflat).reshape(n, d, d))
         if step == 0:
-            k = np.argmin(np.abs(lam), axis=1)
+            k = np.argmin(np.abs(lam[rows]), axis=1)
         g = 0.5 * np.sign(lam)
-        if kernel:
-            g[rows, k] = c
-        # a[n, (a, b), j] = (U^dag v_j U)_ab, zero off S, from one gemm over all states
-        outer = (u.conj()[:, :, :, None, None] * u[:, None, None]).transpose(0, 2, 4, 1, 3)
-        a = (outer.reshape(n * d * d, d * d) @ vflat.T).reshape(n, d * d, m) * on[:, None, :]
+        g[rows, k] = c[rows]
+        y = u.conj().transpose(0, 2, 1) @ kets.T  # (n, d, m): U^dag phi_j
+        # a[n, (a, b), j] = (U^dag v_j U)_ab, zero off S
+        a = (y[:, :, None] * y.conj()[:, None]).reshape(n, d * d, m) * on[:, None, :]
         gap_g, gap_lam = g[:, None, :] - g[:, :, None], lam[:, None, :] - lam[:, :, None]
         dd = np.divide(gap_g, gap_lam, out=np.zeros_like(gap_lam), where=(gap_g != 0.0) & (gap_lam != 0.0))
         jac[:, :m, :m] = ident - (a.conj().transpose(0, 2, 1) @ (a * dd.reshape(n, d * d, 1))).real
         diag = a[:, ::d + 1].real  # (n, d, m): the diagonals (U^dag v_j U)_aa
         res[:, :m] = np.where(support, (g[:, None, :] @ diag)[:, 0] - mu[:, None], w)
         res[:, m] = w.sum(axis=1) - 1.0
-        if kernel:
-            jac[:, :m, m + 1] = diag[rows, k]
-            jac[:, m + 1, :m] = -diag[rows, k]
-            res[:, m + 1] = lam[rows, k]
-        bad = ~np.isfinite(jac.sum(axis=(1, 2)) + res.sum(axis=1))
-        jac[bad], res[bad] = np.eye(m + 2), 0.0
+        kd = diag[rows, k]
+        jac[rows, :m, m + 1], jac[rows, m + 1, :m], res[rows, m + 1] = kd, -kd, lam[rows, k]
+        failed |= ~np.isfinite(jac.sum(axis=(1, 2)) + res.sum(axis=1)) | (np.count_nonzero(dd, axis=(1, 2)) < cap)
+        jac[failed], res[failed] = np.eye(m + 2), 0.0
         try:
             move = np.linalg.solve(jac, res[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # det is 0 exactly where the LU meets a zero pivot
+        except np.linalg.LinAlgError:  # rare: det is 0 exactly where the LU meets a zero pivot
             with np.errstate(divide="ignore"):  # det's log of a zero pivot
-                singular = np.linalg.det(jac) == 0.0
-            move = np.zeros_like(res)
-            move[~singular] = np.linalg.solve(jac[~singular], res[~singular, :, None])[..., 0]
-            move[singular] = (np.linalg.pinv(jac[singular]) @ res[singular, :, None])[..., 0]
-        failed |= bad | ~np.isfinite(move).all(axis=1)
+                failed |= np.linalg.det(jac) == 0.0
+            jac[failed], res[failed] = np.eye(m + 2), 0.0
+            move = np.linalg.solve(jac, res[..., None])[..., 0]
+        failed |= ~np.isfinite(move).all(axis=1)
         move[failed] = 0.0
         w = w - move[:, :m]
         mu = mu - move[:, m]
@@ -348,44 +358,43 @@ def _newton(rhos, verts, w, support, kernel):
 
 def _polish(rhos, verts, vdual, w, bounds):
     """Newton-polished weights for the states of a plain solve whose bracket
-    is open, kept only where they certify.
+    is open, kept only where they certify; `verts` is the pair of the (m, d, d)
+    vertex stack and its (m, d) kets from :func:`_kets`.
 
-    Each state's support is S = {w_i > _SUPPORT_CUT}. Its residual is first
-    assumed to have a 1-d kernel, then, where that fails, none
-    (:func:`_newton`). Polished weights pass only if they are feasible
-    (w >= -1e-12, then clipped and renormalised), their upper bound is no
-    higher than `bounds`' and the bracket closes to `TOL` against
-    :func:`_dual_bound` at X, with c clipped to [-1/2, 1/2]: that X lies in
-    the ball, so an accepted bracket is sound whatever the Newton steps did.
-    Returns (accepted, weights, bounds) for the accepted states.
+    Each state's support is S = {w_i > _SUPPORT_CUT}. Its residual is assumed
+    both to have a 1-d kernel and to have none, in one :func:`_newton` call
+    that stacks each state twice, one row per structure. Polished weights
+    pass only if they are feasible (w >= -1e-12, then clipped and
+    renormalised), their upper bound is no higher than `bounds`' and the
+    bracket closes to `TOL` against :func:`_dual_bound` at X, with c clipped
+    to [-1/2, 1/2]: that X lies in the ball, so an accepted bracket is sound
+    whatever the Newton steps did. Where both rows pass, the kernel row is
+    kept. Returns (accepted, weights, bounds) for the accepted states.
     """
+    verts, kets = verts
     n, m = w.shape
-    accepted = np.zeros(n, dtype=bool)
-    w_out, b_out = np.zeros((n, m)), np.zeros((n, 2))
+    vflat = verts.reshape(m, -1)
     support = w > _SUPPORT_CUT
     start = np.where(support, w, 0.0)
     start /= start.sum(axis=1, keepdims=True)
-    for kernel in (True, False):
-        todo = np.flatnonzero(~accepted)
-        if len(todo) == 0:
-            break
-        wp, c, failed = _newton(rhos[todo], verts, start[todo], support[todo], kernel)
-        total = np.maximum(wp, 0.0).sum(axis=1)  # a clipped row summing to 0 cannot be renormalised
-        keep = ~failed & (wp.min(axis=1) >= -1e-12) & (total > 0.0) & (total < np.inf)
-        todo, wp, c = todo[keep], np.maximum(wp[keep], 0.0), c[keep]
-        if len(todo) == 0:
-            continue
-        wp /= wp.sum(axis=1, keepdims=True)
-        lam, u = np.linalg.eigh(rhos[todo] - (wp @ verts.reshape(m, -1)).reshape(-1, *rhos.shape[1:]))
-        upper = 0.5 * np.abs(lam).sum(axis=1)
-        g = 0.5 * np.sign(lam)
-        if kernel:
-            g[np.arange(len(todo)), np.argmin(np.abs(lam), axis=1)] = np.clip(c, -0.5, 0.5)
-        lower = np.maximum(_dual_bound(rhos[todo], u, g, vdual), bounds[todo, 0])
-        ok = (upper <= bounds[todo, 1]) & (upper - lower <= TOL)
-        accepted[todo[ok]] = True
-        w_out[todo[ok]], b_out[todo[ok]] = wp[ok], np.stack([lower[ok], upper[ok]], axis=1)
-    return accepted, w_out[accepted], b_out[accepted]
+    twice = np.repeat(np.arange(n), 2)  # row 2i is state i with a kernel, row 2i + 1 without
+    kernel = np.arange(2 * n) % 2 == 0
+    wp, c, failed = _newton(rhos[twice], vflat, kets, start[twice], support[twice], kernel)
+    total = np.maximum(wp, 0.0).sum(axis=1)  # a clipped row summing to 0 cannot be renormalised
+    keep = np.flatnonzero(~failed & (wp.min(axis=1) >= -1e-12) & (total > 0.0) & (total < np.inf))
+    wp, state = np.maximum(wp[keep], 0.0), twice[keep]
+    wp /= wp.sum(axis=1, keepdims=True)
+    lam, u = np.linalg.eigh(rhos[state] - (wp @ vflat).reshape(-1, *rhos.shape[1:]))
+    upper = 0.5 * np.abs(lam).sum(axis=1)
+    g = 0.5 * np.sign(lam)
+    on_k = np.flatnonzero(kernel[keep])
+    g[on_k, np.argmin(np.abs(lam[on_k]), axis=1)] = np.clip(c[keep[on_k]], -0.5, 0.5)
+    lower = np.maximum(_dual_bound(rhos[state], u, g, vdual), bounds[state, 0])
+    ok = np.zeros((n, 2), dtype=bool)
+    ok.ravel()[keep] = (upper <= bounds[state, 1]) & (upper - lower <= TOL)
+    ok[:, 1] &= ~ok[:, 0]  # where both rows certify, keep the kernel row
+    won = ok.ravel()[keep]
+    return ok.any(axis=1), wp[won], np.stack([lower[won], upper[won]], axis=1)
 
 
 def _admm(rhos, vertices, decisive):
@@ -417,13 +426,14 @@ def _admm(rhos, vertices, decisive):
     vdual = verts.transpose(0, 2, 1).reshape(m, -1).T      # tr(X v_i) = X.flat @ vdual
 
     gram = (vflat @ vdual).real  # step 1/L_T = 1: see the module docstring
+    with_kets = None if decisive else (verts, _kets(verts))  # what _polish reads of the vertices
     w = np.full((n, m), 1.0 / m)
     bounds = np.tile([0.0, np.inf], (n, 1))  # [lower, upper]
     iters = np.zeros(n, dtype=int)
     certified = np.zeros(n, dtype=bool)
     if not decisive and np.array_equal(gram, np.eye(m)):  # polish the Frobenius-nearest weights
         w0 = _project_simplex_batch((rhos.reshape(n, d * d) @ vdual).real)
-        certified, w[certified], bounds[certified] = _polish(rhos, verts, vdual, w0, bounds)
+        certified, w[certified], bounds[certified] = _polish(rhos, with_kets, vdual, w0, bounds)
     # the active states' weights, dual, penalty and state; delta = rho - Vw
     active = np.flatnonzero(~certified)
     wa, ya, ta, ra = w[active], np.zeros_like(rhos[active]), np.ones((len(active), 1, 1)), rhos[active]
@@ -472,7 +482,7 @@ def _admm(rhos, vertices, decisive):
             done = upper - lower <= TOL
             if not decisive and not done.all():
                 left = np.flatnonzero(~done)
-                polished, wp, bp = _polish(ra[left], verts, vdual, wa[left], bounds[active[left]])
+                polished, wp, bp = _polish(ra[left], with_kets, vdual, wa[left], bounds[active[left]])
                 left = left[polished]
                 w[active[left]], bounds[active[left]], done[left] = wp, bp, True
             certified[active[done]] = True

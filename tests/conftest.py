@@ -170,6 +170,42 @@ def slsqp_polytope_oracle(rho, vertices, starts=12, seed=11):
     return best
 
 
+def polish_in_turn(rhos, verts, vdual, w, bounds):
+    """`stabilizer._polish` with its two residual structures tried in turn, as
+    it was before they shared one Newton stack: a 1-d kernel on every open
+    state, then no kernel on the states that one left uncertified."""
+    verts, kets = verts
+    n, m = w.shape
+    vflat = verts.reshape(m, -1)
+    accepted = np.zeros(n, dtype=bool)
+    w_out, b_out = np.zeros((n, m)), np.zeros((n, 2))
+    support = w > stabilizer._SUPPORT_CUT
+    start = np.where(support, w, 0.0)
+    start /= start.sum(axis=1, keepdims=True)
+    for kernel in (True, False):
+        todo = np.flatnonzero(~accepted)
+        if len(todo) == 0:
+            break
+        wp, c, failed = stabilizer._newton(rhos[todo], vflat, kets, start[todo], support[todo],
+                                           np.full(len(todo), kernel))
+        total = np.maximum(wp, 0.0).sum(axis=1)
+        keep = ~failed & (wp.min(axis=1) >= -1e-12) & (total > 0.0) & (total < np.inf)
+        todo, wp, c = todo[keep], np.maximum(wp[keep], 0.0), c[keep]
+        if len(todo) == 0:
+            continue
+        wp /= wp.sum(axis=1, keepdims=True)
+        lam, u = np.linalg.eigh(rhos[todo] - (wp @ vflat).reshape(-1, *rhos.shape[1:]))
+        upper = 0.5 * np.abs(lam).sum(axis=1)
+        g = 0.5 * np.sign(lam)
+        if kernel:
+            g[np.arange(len(todo)), np.argmin(np.abs(lam), axis=1)] = np.clip(c, -0.5, 0.5)
+        lower = np.maximum(stabilizer._dual_bound(rhos[todo], u, g, vdual), bounds[todo, 0])
+        ok = (upper <= bounds[todo, 1]) & (upper - lower <= stabilizer.TOL)
+        accepted[todo[ok]] = True
+        w_out[todo[ok]], b_out[todo[ok]] = wp[ok], np.stack([lower[ok], upper[ok]], axis=1)
+    return accepted, w_out[accepted], b_out[accepted]
+
+
 def _cw_k_vector(rho):
     """Concatenated striation marginals of rho's Wigner grid, scaled to sum to 1."""
     marg = phasespace.striation_marginals(phasespace.wigner(rho))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from magiclab import channels, linalg, phasespace as ps, stabilizer as st
-from conftest import (project_simplex, pure_trace_distance, random_pure, random_qutrit_batch,
-                      slsqp_polytope_oracle, trace_distance)
+from conftest import (polish_in_turn, project_simplex, pure_trace_distance, random_pure,
+                      random_qutrit_batch, slsqp_polytope_oracle, trace_distance)
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -434,6 +434,96 @@ def test_the_polish_at_a_read_stays_silent(monkeypatch, re6):
     assert bounds[:, 0].max() <= bounds[:, 1].min() + 1e-12
 
 
+def test_the_stacked_polish_certifies_what_the_polish_in_turn_does(monkeypatch, named_states):
+    # one Newton stack for both residual structures, against the oracle that
+    # tries a 1-d kernel first and no kernel on the states it leaves open:
+    # every state the oracle certifies is certified, at no later sweep
+    rng = np.random.default_rng(1919)
+    qutrits = np.concatenate([np.stack(list(named_states.values())), linalg.haar_pure_batch(500, 3, rng),
+                              linalg.ginibre_dm_batch(500, 3, rng)])
+    qubits = np.concatenate([linalg.haar_pure_batch(100, 2, rng), linalg.ginibre_dm_batch(100, 2, rng)])
+    for rhos, verts in ((qutrits, st.stabilizer_pure_states(3).projectors), (qutrits, st.basis_projectors(3)),
+                        (qubits, st.stabilizer_pure_states(2).projectors)):
+        _, _, iters, certified = st.polytope_distance_batch(rhos, verts)
+        with monkeypatch.context() as patch:
+            patch.setattr(st, "_polish", polish_in_turn)
+            _, _, iters0, certified0 = st.polytope_distance_batch(rhos, verts)
+        assert certified0.all() and certified.all()
+        assert np.all(iters <= iters0)
+
+
+@pytest.mark.parametrize("d, kind", [(2, "basis"), (3, "basis"), (4, "basis"), (5, "basis"),
+                                     (2, "stabilizer"), (3, "stabilizer")])
+def test_the_rank_one_block_is_the_conjugated_vertex(d, kind):
+    # A_j = U^dag v_j U = y_j y_j^dag with y_j = U^dag phi_j, phi_j the ket
+    # the solver reads off v_j, on random unitaries U
+    verts = st.stabilizer_pure_states(d).projectors if kind == "stabilizer" else st.basis_projectors(d)
+    rng = np.random.default_rng(2020 + d)
+    u = np.linalg.qr(rng.standard_normal((50, d, d)) + 1j * rng.standard_normal((50, d, d)))[0]
+    y = u.conj().transpose(0, 2, 1) @ st._kets(verts).T
+    rank_one = y[:, :, None] * y.conj()[:, None]
+    full = np.einsum("nia,mij,njb->nabm", u.conj(), verts, u)
+    assert np.abs(rank_one - full).max() <= 1e-14
+
+
+def test_a_no_kernel_system_beyond_its_sign_rank_is_singular_and_fails():
+    # with g = sign(lam)/2 the Daleckii-Krein block has rank <= 2pq (p, q the
+    # positive and negative eigenvalues), so a no-kernel system on a support
+    # |S| > 2pq + 1 is singular; _newton marks that row failed before its solve
+    verts = st.stabilizer_pure_states(3).projectors
+    m = len(verts)
+    kets, vflat = st._kets(verts), verts.reshape(m, -1)
+    rng = np.random.default_rng(2121)
+    checked = 0
+    for rho in linalg.ginibre_dm_batch(40, 3, rng):
+        w = np.zeros(m)
+        support = np.zeros(m, dtype=bool)
+        support[rng.choice(m, size=rng.integers(6, 8), replace=False)] = True
+        w[support] = rng.dirichlet(np.ones(support.sum()))
+        lam, u = np.linalg.eigh(rho - (w @ vflat).reshape(3, 3))
+        p, q = (lam > 0).sum(), (lam < 0).sum()
+        if support.sum() <= 2 * p * q + 1:
+            continue
+        y = u.conj().T @ kets[support].T
+        a = (y[:, None] * y.conj()[None]).reshape(9, -1)
+        g = 0.5 * np.sign(lam)
+        gap_g, gap_lam = g[None] - g[:, None], lam[None] - lam[:, None]
+        dd = np.divide(gap_g, gap_lam, out=np.zeros((3, 3)), where=gap_g != 0)
+        k = support.sum()
+        system = np.zeros((k + 1, k + 1))
+        system[:k, :k] = -(a.conj().T @ (a * dd.reshape(9, 1))).real
+        system[:k, k], system[k, :k] = -1.0, 1.0
+        assert np.linalg.matrix_rank(system) < k + 1
+        _, _, failed = st._newton(rho[None], vflat, kets, w[None], support[None], np.array([False]))
+        assert failed[0]
+        checked += 1
+    assert checked >= 10
+
+
+def test_mixed_vertices_keep_sound_brackets(monkeypatch):
+    # over vertices that are not rank one the polish's Jacobian is only
+    # approximate, but every accepted polish is checked against the dual
+    # bound: each bracket holds the SLSQP oracle's value
+    stab = st.stabilizer_pure_states(3).projectors
+    verts = np.concatenate([0.8 * stab[:6] + 0.2 * np.eye(3) / 3, (stab[6:] + stab[[7, 8, 9, 10, 11, 6]]) / 2])
+    rhos = random_qutrit_batch(8, seed=2222)
+    calls = []
+    polish = st._polish
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return polish(*args)
+
+    monkeypatch.setattr(st, "_polish", counted)
+    bounds, _, _, certified = st.polytope_distance_batch(rhos, verts)
+    assert calls
+    for rho, (lower, upper), done in zip(rhos, bounds, certified):
+        oracle = slsqp_polytope_oracle(rho, verts)
+        assert lower <= oracle + 1e-12 and lower <= upper + 1e-12
+        if done:
+            assert abs(upper - oracle) < 5e-7
+
+
 def test_polish_certifies_the_basis_set_tail():
     # states that ADMM alone leaves uncertified at MAX_ITER = 5000 (gaps
     # 1.3e-8 at d = 3 and 2.4e-9 to 1.2e-7 at d = 4): the polish certifies
@@ -478,11 +568,11 @@ def _solver_digests(monkeypatch):
 
 
 SOLVER_DIGESTS = {
-    "stack_stabilizer_2": "b77eaa995a99867a1fbc5f6c11889637dc493d6540243f0e2ee203bef168ddc4",
+    "stack_stabilizer_2": "a17471da9a02abb74bbc121946b1fca71a819668f3f6283031d2d4e1d8fc4bb6",
     "stack_basis_2": "45de35c5552c650b60aac96ace22945e12546677e9bc9d17c9d4d87172f5d186",
-    "stack_stabilizer_3": "0f0f07dd47ba21610371aed2dbb130c15a8bad21544fd0225aae6e1c523de63f",
+    "stack_stabilizer_3": "ed46ecefe0f2be154d0d7ce1e66a3b30e60244fc8b740f4900c1c14ec112c631",
     "stack_basis_3": "afd22d1a431c55656e209203c082c1cdce0838537751f4fb5a1455fc9cf3cd1c",
-    "one_state": "94353273eaf5ddfe097ace870a3d267c45c6da72900e76b29126c5ac2e55dff7",
+    "one_state": "2596e0e67e184970c1a5d281372ec3be488966b6d666e666261239f448e7a7f7",
     "result1": "a8db1346e1fccc4048f3014ca3c73deefb289bf90ccf411518f36211ecd26ae3",
 }
 
